@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+from oracle import ReferenceRuntime
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
 from repro.lap.runtime import LAPRuntime
 from repro.lap.taskgraph import AlgorithmsByBlocks, TaskKind
@@ -192,7 +193,10 @@ def _measure_fastpath(n, iterations=3, tile=128, policy="greedy",
                       local_store_kb=None):
     """Interleaved best-of-N reference-vs-fast loop timings on one graph.
 
-    Both runtimes share one memoized timing table and are warmed (kernel
+    The reference side is the test oracle's loop (``tests/oracle``: policy
+    hooks per task, ``OrderedDict`` residency), the fast side the
+    production ``LAPRuntime.execute``.  Both runtimes share one memoized
+    timing table and are warmed (kernel
     signatures, graph fast-arrays, schedule metadata) before the measured
     region; gc is disabled around each timed run so collector pauses do
     not land inside one side of the comparison.  ``policy`` /
@@ -205,14 +209,13 @@ def _measure_fastpath(n, iterations=3, tile=128, policy="greedy",
     lap_cfg = dict(num_cores=8, nr=4, onchip_memory_mbytes=8.0)
     rt_cfg = dict(timing="memoized", policy=policy,
                   local_store_kb=local_store_kb)
-    ref_rt = LAPRuntime(LinearAlgebraProcessor(LAPConfig(**lap_cfg)),
-                        tile, **rt_cfg)
+    ref_rt = ReferenceRuntime(LinearAlgebraProcessor(LAPConfig(**lap_cfg)),
+                              tile, **rt_cfg)
     fast_rt = LAPRuntime(LinearAlgebraProcessor(LAPConfig(**lap_cfg)),
-                         tile, fast=True, **rt_cfg)
+                         tile, **rt_cfg)
     fast_rt.timing = ref_rt.timing  # one shared cycle table, like a sweep
     ref_rt.execute(graph, tiles, verify=False)    # warm kernels + summary
     fast_stats = fast_rt.execute(graph, tiles, verify=False)  # warm arrays
-    assert fast_rt.last_fast
 
     ref_best = fast_best = float("inf")
     gc.collect()
@@ -303,10 +306,9 @@ def test_scale_smoke_4k_cholesky_wall_time(bench_json):
     graph, tiles, build_seconds = _cholesky_graph_and_tiles(4096)
     runtime = LAPRuntime(LinearAlgebraProcessor(
         LAPConfig(num_cores=8, nr=4, onchip_memory_mbytes=8.0)),
-        128, timing="memoized", fast=True)
+        128, timing="memoized")
     stats = runtime.execute(graph, tiles, verify=False)
     elapsed = time.perf_counter() - started
-    assert runtime.last_fast
     assert stats["tasks_executed"] == len(graph) == 5984
     assert elapsed < budget_seconds, (
         f"4k^2 Cholesky took {elapsed:.1f}s (budget {budget_seconds:.0f}s): "

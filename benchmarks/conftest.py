@@ -16,9 +16,15 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import sys
 import time
 
 import pytest
+
+# The reference scheduler loop lives with the tests (``tests/oracle``);
+# benchmarks that measure the production loop against it import it from
+# there.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
 
 from repro.experiments.report import summarize_experiment
 

@@ -620,18 +620,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             lap, args.tile, policy=args.policy, timing=args.timing,
             on_chip_kb=args.on_chip_kb, bandwidth_gbs=args.bandwidth_gbs,
             local_store_kb=args.local_store_kb,
-            stall_overlap=args.stall_overlap, tracer=tracer,
-            fast=args.fast)
+            stall_overlap=args.stall_overlap, tracer=tracer)
         stats = runtime.run_workload(args.workload, args.n,
                                      np.random.default_rng(args.seed))
-        if args.fast and not runtime.last_fast:
-            # An enabled tracer needs the per-task span instrumentation of
-            # the reference loop, so execute() declines the inlined path;
-            # schedules are byte-identical either way, so the trace is still
-            # exactly what fast=True would have computed.
-            print("note: tracing takes the reference scheduler loop "
-                  "(--fast produces byte-identical schedules; spans need "
-                  "the instrumented loop)", file=sys.stderr)
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"trace failed: {exc}", file=sys.stderr)
         return 2
@@ -888,10 +879,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trc.add_argument("--stall-overlap", type=float, default=0.0,
                        help="fraction of data-movement cycles hidden under "
                             "compute, in [0, 1] (default: 0)")
-    p_trc.add_argument("--fast", action="store_true",
-                       help="request the inlined fast scheduler loop; with "
-                            "tracing enabled the reference loop runs instead "
-                            "(byte-identical schedule) and a note is printed")
     p_trc.add_argument("--out", metavar="PATH", default=None,
                        help="trace output path (default: "
                             "<workload>_n<n>.trace.json)")

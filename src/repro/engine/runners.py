@@ -66,6 +66,8 @@ RUNNER_VERSIONS: Dict[str, int] = {
     # v6: chip-clock (frequency_ghz) and off-chip access-energy
     # (offchip_pj_per_byte) sweep axes with widened schedule replay
     # (per-task energy re-keying) and the writeback_bytes execution field.
+    # The fast param has since been retired (one scheduler loop, identical
+    # rows), which needs no bump.
     "lap_runtime": 6,
     "blocked_fact": 1,
     "experiment": 1,
@@ -96,7 +98,7 @@ KNOWN_PARAMS: Dict[str, frozenset] = {
                               "onchip_mbytes", "seed", "policy", "timing",
                               "verify", "core_frequencies_ghz", "memory",
                               "on_chip_kb", "bandwidth_gbs", "local_store_kb",
-                              "stall_overlap", "fast", "replay",
+                              "stall_overlap", "replay",
                               "frequency_ghz", "offchip_pj_per_byte"}),
     "blocked_fact": frozenset({"method", "n", "nr", "seed", "use_extension",
                                "frequency_ghz"}),
@@ -538,9 +540,8 @@ def run_lap_runtime(params: Params) -> dict:
     in pJ/byte; both appear as gated row columns only when given, so
     existing rows stay byte-identical.
 
-    ``fast`` routes scheduling through the inlined hot path of
-    :mod:`repro.lap.fastpath` (byte-identical rows, no new columns;
-    default off).  ``replay`` controls schedule-replay costing for delta
+    Scheduling runs the one scheduler loop of :mod:`repro.lap.fastpath`
+    (see :meth:`repro.lap.runtime.LAPRuntime.execute`).  ``replay`` controls schedule-replay costing for delta
     sweeps: under ``"auto"`` (the default) every simulated point records a
     :class:`repro.lap.fastpath.ScheduleTrace`, and a later point that
     differs only in constants which provably cannot change the schedule
@@ -590,7 +591,6 @@ def run_lap_runtime(params: Params) -> dict:
     offchip_pj = None if offchip_pj is None else float(offchip_pj)
     if offchip_pj is not None and offchip_pj < 0:
         raise ValueError("offchip_pj_per_byte must be non-negative")
-    fast = bool(params.get("fast", False))
     replay = str(params.get("replay", "auto")).lower()
     if replay not in ("auto", "off"):
         raise ValueError(f"unknown replay mode '{replay}' "
@@ -611,8 +611,7 @@ def run_lap_runtime(params: Params) -> dict:
     structural_key = (algorithm, n, tile, num_cores, nr, onchip_mbytes, seed,
                       policy, timing, verify, memory, on_chip_kb,
                       local_store_kb,
-                      None if frequencies is None else tuple(frequencies),
-                      fast)
+                      None if frequencies is None else tuple(frequencies))
     if replay == "auto":
         cached = _REPLAY_MEMO.get(structural_key)
         if cached is None:
@@ -678,7 +677,7 @@ def run_lap_runtime(params: Params) -> dict:
                          on_chip_kb=on_chip_kb, bandwidth_gbs=bandwidth_gbs,
                          local_store_kb=local_store_kb,
                          stall_overlap=0.0 if stall_overlap is None
-                         else stall_overlap, fast=fast,
+                         else stall_overlap,
                          offchip_pj_per_byte=offchip_pj)
     rng = np.random.default_rng(seed)
     stats = runtime.run_workload(algorithm, n, rng, verify=verify)

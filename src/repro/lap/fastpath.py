@@ -1,24 +1,23 @@
-"""Million-task hot path: SoA residency, an inlined scheduler loop, replay.
+"""The scheduler loop: SoA residency, an inlined event loop, replay.
 
-The reference runtime (:mod:`repro.lap.runtime` + :mod:`repro.lap.memory`)
-is written for clarity: per-task ``OrderedDict`` LRU churn, policy method
-dispatch, a dataclass per execution record.  At the graph sizes where the
-paper's scheduling/memory results get interesting (a 16k^2 tiled Cholesky is
-~360k tasks) that costs tens of microseconds per task.  This module rebuilds
-the hot path in three layers while keeping the reference implementation as
-the oracle the equivalence suite pins against:
+Every ``LAPRuntime.execute`` call runs :func:`execute_fast`.  At the graph
+sizes where the paper's scheduling/memory results get interesting (a 16k^2
+tiled Cholesky is ~360k tasks) per-task ``OrderedDict`` LRU churn, policy
+method dispatch and a dataclass per execution record would cost tens of
+microseconds per task, so the loop is built in three layers:
 
 * **Vectorized residency accounting** -- :class:`TileInterner` maps
   ``(operand, (i, j))`` tile names to dense integer ids once per graph;
   :class:`FastTileResidency` / :class:`FastLocalStore` then keep the LRU
   state as structure-of-arrays (a timestamp per tile id, clock-based LRU
   with a FIFO queue of touches whose position encodes the stamp) instead
-  of per-tile ``OrderedDict`` nodes.  A task's whole footprint is touched in one call.  The hot state
-  is deliberately plain Python lists, not numpy arrays: footprints are 1-4
-  tiles, where scalar list indexing beats any ufunc dispatch; numpy is used
-  for the CSR graph exports where bulk arithmetic actually wins.
-* **Event-loop batching** -- :class:`GraphArrays` precomputes
-  successor/indegree CSR arrays and per-task interned footprints for a
+  of per-tile ``OrderedDict`` nodes.  A task's whole footprint is touched
+  in one call.  The hot state is deliberately plain Python lists, not
+  numpy arrays: footprints are 1-4 tiles, where scalar list indexing beats
+  any ufunc dispatch; numpy is used for the CSR footprint exports where
+  bulk arithmetic actually wins.
+* **Event-loop batching** -- :class:`GraphArrays` precomputes successor
+  lists, indegrees and per-task interned footprints for a
   :class:`~repro.lap.taskgraph.TaskGraph`; :func:`execute_fast` runs the
   scheduler loop with every policy / timing / memory decision inlined
   (no per-task method dispatch) and appends one plain tuple per task,
@@ -32,15 +31,12 @@ the oracle the equivalence suite pins against:
   overlap with zero visible movement), the ``lap_runtime`` runner replays
   the recorded costs instead of re-simulating.
 
-Equivalence contract: for every supported configuration the fast path
-produces *byte-identical* schedules, stats, traffic splits, energy and
-attribution to the reference loop (same float operations in the same
-order).  The one intentional difference: ``MemoryHierarchy.events`` stays
-empty on the fast path (per-task :class:`TaskMemoryEvent` records are never
-materialised); nothing outside the tracer-enabled reference path consumes
-it.  Unsupported configurations (an enabled tracer, policy subclasses,
-plain task lists) fall back to the reference loop in
-:meth:`LAPRuntime.execute`.
+Equivalence contract: the test suite keeps the straightforward formulation
+-- a reference event loop over policy hooks and ``OrderedDict`` residency
+levels -- as an oracle, and requires *byte-identical* schedules, stats,
+traffic splits, energy, attribution and tracer output from this loop (same
+float operations in the same order) for every policy x hierarchy
+configuration.
 """
 
 from __future__ import annotations
@@ -88,11 +84,16 @@ class TileInterner:
 
 
 class FastTileResidency:
-    """Structure-of-arrays drop-in for :class:`repro.lap.memory.TileResidency`.
+    """Structure-of-arrays LRU working set of the shared on-chip level.
 
-    Same semantics, observable state and return values as the
-    ``OrderedDict`` reference (the property suite pins them against each
-    other on random access streams); the LRU order lives in a timestamp
+    Tiles are identified by ``(operand, (block_row, block_col))`` names
+    (interned to dense ids) and all occupy ``tile_bytes``.  A task's
+    footprint is *pinned* while it is brought resident, so one task's tiles
+    never evict each other; a footprint larger than the capacity overflows
+    transiently (the schedule then thrashes, which the spill counters make
+    visible).  Same semantics, observable state and return values as an
+    ``OrderedDict`` LRU (the property suite pins them against each other on
+    random access streams); the LRU order lives in a timestamp
     array (``_stamp[tile_id]``, -1 = not resident) driven by a monotonic
     clock.  Because stamps are handed out in strictly increasing order --
     exactly one per queue append -- the queue entry at position ``k``
@@ -195,7 +196,7 @@ class FastTileResidency:
 
     # ------------------------------------------------------------- updates
     def touch(self, reads, writes) -> Tuple[float, float, float, float]:
-        """Reference-equivalent touch over tile names; see ``touch_ids``."""
+        """Bring a footprint of tile names resident; see ``touch_ids``."""
         intern = self._interner.intern
         foot: List[int] = []
         for access in list(reads) + list(writes):
@@ -210,8 +211,10 @@ class FastTileResidency:
                   wids: Sequence[int]) -> Tuple[float, float, float, float]:
         """Bring a deduplicated, interned footprint resident in one call.
 
-        Returns ``(refill, compulsory, spill_refill, writeback)`` bytes,
-        byte-identical to the reference ``touch``.  The caller guarantees
+        Returns ``(refill, compulsory, spill_refill, writeback)`` bytes.
+        Read and written tiles are both fetched (every tile kernel is
+        read-modify-write at tile granularity); written tiles are marked
+        dirty so their eventual eviction costs a writeback.  The caller guarantees
         ``foot`` is duplicate-free in reads+writes order and every id is
         covered by the state arrays (the interner was pre-populated).
         """
@@ -304,9 +307,9 @@ class FastTileResidency:
 
 
 class FastLocalStore:
-    """Structure-of-arrays drop-in for :class:`repro.lap.memory.LocalStore`.
+    """Structure-of-arrays LRU of one core's local store (the second level).
 
-    The clock/stamp scheme of :class:`FastTileResidency` without the
+    Inclusive in the shared level and write-through; the clock/stamp scheme of :class:`FastTileResidency` without the
     dirty/compulsory bookkeeping (the store is write-through and the shared
     level owns all off-chip accounting).
     """
@@ -399,7 +402,7 @@ class FastLocalStore:
 
     # ------------------------------------------------------------- updates
     def touch(self, accesses) -> float:
-        """Reference-equivalent touch over tile names; see ``touch_ids``."""
+        """Bring a footprint of tile names resident; returns the fill bytes."""
         intern = self._interner.intern
         foot: List[int] = []
         for access in accesses:
@@ -472,14 +475,14 @@ class FastLocalStore:
 
 
 class GraphArrays:
-    """Dense per-index arrays of one :class:`TaskGraph` for the fast loop.
+    """Dense per-index arrays of one :class:`TaskGraph` for the scheduler loop.
 
     Task ids are *not* assumed 0-based or contiguous (the builders share one
     id counter across graphs), so everything is indexed by graph position
     with ``ids`` / ``id2idx`` translating.  Successor lists and indegrees
-    are exported both as Python lists (what the scalar hot loop indexes) and
-    as CSR numpy arrays (``succ_indptr`` / ``succ_indices``) for bulk
-    dependency arithmetic.  Built once per graph and cached on it
+    are plain Python lists (what the scalar hot loop indexes); footprints
+    are additionally exported as CSR numpy arrays for the bulk priority
+    kernels.  Built once per graph and cached on it
     (:meth:`TaskGraph.fast_arrays`).
     """
 
@@ -501,11 +504,6 @@ class GraphArrays:
         # Successor lists are built by ascending task index, so each list is
         # already sorted; the hot loop only needs a deterministic order.
         self.succ: List[Tuple[int, ...]] = [tuple(lst) for lst in succ]
-        self.succ_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum([len(lst) for lst in succ], out=self.succ_indptr[1:])
-        self.succ_indices = np.fromiter(
-            (j for lst in succ for j in lst), dtype=np.int64,
-            count=int(self.succ_indptr[-1]))
         # Interned footprints: foot_ids is the deduplicated reads+writes
         # order the residency model consumes; rw_len is the raw (non-dedup)
         # operand count the on-chip energy term charges.
@@ -562,7 +560,7 @@ class GraphArrays:
         self.foot_indices = np.fromiter(
             (tid for foot in self.foot_ids for tid in foot), dtype=np.int64,
             count=int(self.foot_indptr[-1]))
-        # Tasks per memoization group: lets the fast loop reconcile the
+        # Tasks per memoization group: lets the loop reconcile the
         # timing model's hit counters in one bulk call per group instead of
         # incrementing a counter per task.
         self.group_counts = [0] * self.num_groups
@@ -613,8 +611,8 @@ def _policy_codes() -> Dict[type, int]:
             MemoryAware: 3, AffinityScheduler: 4}
 
 
-#: Exact policy types the inlined loop replicates; subclasses fall back to
-#: the reference loop (their overridden hooks would be silently ignored).
+#: Exact policy types the inlined loop replicates (``get_policy`` rejects
+#: anything else: a subclass's overridden hooks would be silently ignored).
 _POLICY_CODES: Dict[type, int] = _policy_codes()
 
 #: Counters of the schedule-replay fast path (reset freely in tests).
@@ -855,24 +853,26 @@ class ScheduleTrace:
 
 def execute_fast(runtime, graph: TaskGraph, tiles: Dict,
                  verify: bool) -> Dict[str, object]:
-    """Inlined fast-path twin of :meth:`LAPRuntime.execute`.
+    """The scheduler loop behind :meth:`LAPRuntime.execute`.
 
-    Same event-driven ready-heap schedule, same float operations in the
-    same order, with all per-task indirection removed: policies are inlined
-    by code (``_POLICY_CODES``), the shared-level residency update
-    (:meth:`FastTileResidency.touch_ids`) is inlined into the loop body
-    with its scalar state held in local variables (written back to the
-    residency object after the loop; the stamp/dirty/ever lists *are* the
-    live object state and mutate in place), memoized cycle counts come
-    from a per-group table, and executions are recorded as plain row
-    tuples that ``LAPRuntime.executions`` materialises lazily.
+    An event-driven ready-heap schedule with all per-task indirection
+    removed: policies are inlined by code (``_POLICY_CODES``), the
+    shared-level residency update (:meth:`FastTileResidency.touch_ids`) is
+    inlined into the loop body with its scalar state held in local
+    variables (written back to the residency object after the loop; the
+    stamp/dirty/ever lists *are* the live object state and mutate in
+    place), memoized cycle counts come from a per-group table, and
+    executions are recorded as plain row tuples that
+    ``LAPRuntime.executions`` materialises lazily.
 
     Heap entries are flat tuples for the static policies -- ``(r, id, i)``
     or ``(negrank, r, id, i)`` -- because the version stamp and the
     revalidation step only exist for the dynamic, memory-keyed policies;
-    the comparison order is identical to the reference keys since the
-    unique task id decides every tie before the trailing index is reached.
-    The caller (``LAPRuntime.execute``) has already checked eligibility.
+    the comparison order is identical to ``(policy key, task id)`` since
+    the unique task id decides every tie before the trailing index is
+    reached.  Dynamic policies (memory_aware, affinity) carry a residency
+    version stamp and have stale keys lazily re-validated when they reach
+    the heap top.
     """
     from repro.lap.memory import MemoryHierarchy
     from repro.lap.runtime import TaskExecution, _ExecutionContext
@@ -905,7 +905,7 @@ def execute_fast(runtime, graph: TaskGraph, tiles: Dict,
         on_chip_kb=runtime.on_chip_kb,
         bandwidth_gbs=runtime.bandwidth_gbs,
         local_store_kb=runtime.local_store_kb,
-        fast=True, interner=ga.interner,
+        interner=ga.interner,
         offchip_pj_per_byte=runtime.offchip_pj_per_byte)
               if runtime.memory_enabled else None)
     runtime.last_memory = memory
@@ -918,7 +918,7 @@ def execute_fast(runtime, graph: TaskGraph, tiles: Dict,
     # every per-task cost below stays at these zeros.
     stores = None
     stall = transfer_cycles = energy = 0.0
-    local_hit = transfer_bytes = 0.0
+    local_hit = shared_fill = c2c = 0.0
     refill_b = spill_b = wb_b = 0
     if has_mem:
         res = memory.residency
@@ -1017,8 +1017,6 @@ def execute_fast(runtime, graph: TaskGraph, tiles: Dict,
         # repeated pushes.
         ready0 = [i for i in range(n) if indeg[i] == 0]
         keys = policy.bulk_priorities(ga, memory, ready0, [0] * len(ready0))
-        if keys is None:
-            keys = [prio(i, 0) for i in ready0]
         heap = [(keys[k], ids[i], cur_version, i)
                 for k, i in enumerate(ready0)]
         heapq.heapify(heap)
@@ -1041,7 +1039,6 @@ def execute_fast(runtime, graph: TaskGraph, tiles: Dict,
     # products and one add whether evaluated per task or once, so every
     # float matches the generic loop bit for bit.  Rows are recorded in a
     # compact 8-field form and expanded to TaskExecution lazily.
-    exec_build = None
     specialized = (pcode == 0 and use_table and has_mem and stores is None
                    and homogeneous and bpc_off > 0 and ga.ids_ascending)
     if specialized:
@@ -1168,7 +1165,7 @@ def execute_fast(runtime, graph: TaskGraph, tiles: Dict,
             return [TaskExecution(ids[i], kinds[i], c, start, end,
                                   (sb / bpc) if sb else 0.0,
                                   float(rb), energy, 0.0, 0.0,
-                                  gtable[group[i]], float(sb), 0.0,
+                                  gtable[group[i]], float(sb), 0.0, 0.0,
                                   float(wbb))
                     for i, c, start, end, rb, energy, sb, wbb in rows]
 
@@ -1364,7 +1361,7 @@ def execute_fast(runtime, graph: TaskGraph, tiles: Dict,
             owner[out_id[i]] = c
         rows_append((ids[i], kinds[i], c, start, end, stall, float(refill_b),
                      energy, transfer_cycles, local_hit, compute_duration,
-                     float(spill_b), transfer_bytes, float(wb_b)))
+                     float(spill_b), shared_fill, c2c, float(wb_b)))
 
         for j in succ[i]:
             rj = ready[j]
@@ -1412,7 +1409,9 @@ def execute_fast(runtime, graph: TaskGraph, tiles: Dict,
         memory.c2c_bytes += tot_c2c
         memory.local_transfer_cycles += tot_ltc
         memory._local_version = local_version
-    runtime._exec_rows = rows
+    if not specialized:
+        def exec_build(rows=rows):
+            return [TaskExecution(*row) for row in rows]
     runtime._executions = None
     runtime._exec_build = exec_build
     makespan = max(core_free) if core_free else 0

@@ -1,9 +1,13 @@
 """Scheduling policies for the LAP: the single scheduling code path.
 
-The runtime's event-driven loop (:mod:`repro.lap.runtime`) keeps a heap of
-*ready* tasks and a per-core availability clock; the policy decides two
-things: the heap priority of a ready task and the core a popped task runs
-on.  Four policies are provided:
+The runtime's event-driven loop keeps a heap of *ready* tasks and a
+per-core availability clock; the policy decides two things: the heap
+priority of a ready task (:meth:`SchedulerPolicy.priority`) and the core a
+popped task runs on (:meth:`SchedulerPolicy.choose_core`).  The loop
+(:func:`repro.lap.fastpath.execute_fast`) inlines both hooks of the five
+stock policies below, so the hook methods are their readable specification;
+the test suite's reference loop calls them directly.  Five policies are
+provided:
 
 ``greedy``
     the original earliest-core list scheduler: tasks are ordered by the
@@ -42,9 +46,8 @@ Policies are stateless between :meth:`SchedulerPolicy.prepare` calls, so one
 instance can schedule many graphs.
 
 The *static* panel pre-scheduler of the monolithic GEMM path
-(:class:`GEMMScheduler` / :class:`PanelAssignment`) also lives here now, so
-all scheduling code shares one module; ``repro.lap.scheduler`` remains as a
-deprecated import shim.
+(:class:`GEMMScheduler` / :class:`PanelAssignment`) also lives here, so all
+scheduling code shares one module.
 """
 
 from __future__ import annotations
@@ -219,12 +222,8 @@ class MemoryAware(LocalityAware):
         are gathered into one flat CSR batch and scored by the residency
         classes' batch kernels; the returned key tuples are
         element-for-element equal to the scalar :meth:`priority` keys
-        (plain Python ints, same ordering semantics).  Returns ``None``
-        when ``memory`` is not the fast SoA hierarchy -- callers then fall
-        back to scalar scoring.
+        (plain Python ints, same ordering semantics).
         """
-        if memory is None or not getattr(memory, "fast", False):
-            return None
         if not indices:
             return []
         import numpy as np
@@ -303,10 +302,20 @@ def policy_names() -> List[str]:
 
 
 def get_policy(policy: Union[str, SchedulerPolicy, None]) -> SchedulerPolicy:
-    """Resolve a policy name (or pass an instance through)."""
+    """Resolve a policy name, or pass an instance of a stock class through.
+
+    The scheduler loop inlines the five stock policies, so an instance of
+    any other class (a subclass included: its overridden hooks would never
+    run) is rejected with :class:`TypeError`.
+    """
     if policy is None:
         return GreedyEarliestCore()
     if isinstance(policy, SchedulerPolicy):
+        if type(policy) not in POLICIES.values():
+            stock = ", ".join(cls.__name__ for cls in POLICIES.values())
+            raise TypeError(f"unsupported policy class "
+                            f"{type(policy).__name__}; the scheduler runs "
+                            f"only the stock policies ({stock})")
         return policy
     try:
         return POLICIES[str(policy)]()
@@ -316,8 +325,8 @@ def get_policy(policy: Union[str, SchedulerPolicy, None]) -> SchedulerPolicy:
 
 
 # --------------------------------------------------------------------------
-# Static panel pre-scheduler (Figure 4.1), folded in from the pre-task-graph
-# ``repro.lap.scheduler`` module so that one module owns all scheduling code.
+# Static panel pre-scheduler (Figure 4.1), kept next to the task-graph
+# policies so that one module owns all scheduling code.
 # --------------------------------------------------------------------------
 @dataclass(frozen=True)
 class PanelAssignment:

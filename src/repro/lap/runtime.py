@@ -13,10 +13,12 @@ The runtime is layered (TaskGraph -> Scheduler -> TimingModel -> LAP):
 * :mod:`repro.lap.taskgraph` -- the IR: :class:`TaskKind`,
   :class:`TaskDescriptor`, :class:`TaskGraph` and the
   :class:`AlgorithmsByBlocks` decompositions (GEMM, Cholesky, LU, tiled QR);
-* :mod:`repro.lap.policies` -- pluggable scheduling policies (greedy
-  earliest-core, critical-path priority, locality-aware, memory-aware)
-  driving an event-driven ready-heap loop (O(V log V + E) for the static
-  policies, instead of the old O(V^2) rescan);
+* :mod:`repro.lap.policies` -- the scheduling policies (greedy
+  earliest-core, critical-path priority, locality-aware, memory-aware,
+  affinity);
+* :mod:`repro.lap.fastpath` -- the one scheduler loop: an event-driven
+  ready heap (O(V log V + E) for the static policies) with the policies,
+  the memoized timing lookup and the residency updates inlined;
 * :mod:`repro.lap.timing` -- timing models: ``functional`` executes every
   task on the cycle-level simulator, ``memoized`` caches per-(kind, shape,
   precision) cycle counts after one functional run so that large graphs
@@ -29,9 +31,11 @@ The runtime is layered (TaskGraph -> Scheduler -> TimingModel -> LAP):
   off-chip traffic, stalls and GFLOPS/W alongside the makespan, and the
   two-level model splits on-chip movement into local-hit / core-to-core /
   shared-to-local traffic;
-* :class:`LAPRuntime` (this module) -- the driver/dispatcher that binds the
-  four to the cores of a :class:`repro.lap.chip.LinearAlgebraProcessor`,
-  optionally with heterogeneous per-core clock frequencies.
+* :class:`LAPRuntime` (this module) -- the driver that binds them to the
+  cores of a :class:`repro.lap.chip.LinearAlgebraProcessor` (optionally
+  with heterogeneous per-core clock frequencies), runs the tile kernels the
+  timing model asks for, and turns a finished schedule into tracer spans,
+  a cycle attribution and a replayable :class:`ScheduleTrace`.
 
 ``AlgorithmsByBlocks``, ``TaskDescriptor`` and ``TaskKind`` are re-exported
 here for backwards compatibility with pre-refactor imports.
@@ -39,7 +43,6 @@ here for backwards compatibility with pre-refactor imports.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -52,14 +55,13 @@ from repro.kernels.qr import lac_apply_reflectors
 from repro.kernels.syrk import lac_syrk
 from repro.kernels.trsm import lac_trsm
 from repro.lap.chip import LinearAlgebraProcessor
-from repro.lap.fastpath import _POLICY_CODES, ScheduleTrace, execute_fast
+from repro.lap.fastpath import ScheduleTrace, execute_fast
 from repro.lap.memory import MemoryHierarchy
 from repro.lap.policies import SchedulerPolicy, get_policy
-from repro.lap.taskgraph import (AlgorithmsByBlocks, TaskDescriptor, TaskGraph,
-                                 TaskKind)
-from repro.lap.timing import (TimingModel, compose_task_cycles,
-                              decompose_task_cycles, get_timing_model,
-                              task_signature)
+from repro.lap.taskgraph import (_TASK_FLOPS, AlgorithmsByBlocks,
+                                 TaskDescriptor, TaskGraph, TaskKind)
+from repro.lap.timing import (TimingModel, decompose_task_cycles,
+                              get_timing_model, task_signature)
 from repro.obs.attribution import CycleAttribution, idle_gaps
 from repro.obs.tracer import Tracer
 from repro.reference.factorizations import (ref_apply_reflectors,
@@ -82,8 +84,9 @@ class TaskExecution:
     data-movement accounting when the memory hierarchy is enabled;
     ``compute_cycles`` is the pre-movement duration (what the cycle
     decomposition attributes to compute), ``spill_bytes`` the capacity-miss
-    part of ``refill_bytes`` and ``transfer_bytes`` the shared-to-local plus
-    core-to-core movement of the two-level hierarchy.
+    part of ``refill_bytes``, and ``shared_to_local_bytes`` / ``c2c_bytes``
+    the on-chip movement of the two-level hierarchy (their sum is
+    ``transfer_bytes``).
     """
 
     task_id: int
@@ -98,7 +101,8 @@ class TaskExecution:
     local_hit_bytes: float = 0.0
     compute_cycles: float = 0.0
     spill_bytes: float = 0.0
-    transfer_bytes: float = 0.0
+    shared_to_local_bytes: float = 0.0
+    c2c_bytes: float = 0.0
     #: Dirty-eviction bytes this task's fetches forced; with
     #: ``refill_bytes`` it gives the task's off-chip bytes, the third
     #: factor of the per-task energy triple schedule replay re-keys.
@@ -107,6 +111,11 @@ class TaskExecution:
     @property
     def cycles(self) -> float:
         return self.end_cycle - self.start_cycle
+
+    @property
+    def transfer_bytes(self) -> float:
+        """Shared-to-local plus core-to-core bytes (two-level hierarchy)."""
+        return self.shared_to_local_bytes + self.c2c_bytes
 
 
 class _ExecutionContext:
@@ -139,6 +148,10 @@ class _ExecutionContext:
 class LAPRuntime:
     """Dispatches tile tasks onto the cores of a LAP.
 
+    :meth:`execute` schedules a task graph with the scheduler loop of
+    :mod:`repro.lap.fastpath`; the ``run_*`` drivers build seeded operands
+    and a graph for one named workload and verify the result.
+
     Parameters
     ----------
     lap:
@@ -146,7 +159,8 @@ class LAPRuntime:
     tile:
         Edge length of one square tile (a multiple of the core dimension).
     policy:
-        Scheduling policy name or instance (see :mod:`repro.lap.policies`).
+        Scheduling policy name or an instance of one of the five stock
+        policy classes (see :func:`repro.lap.policies.get_policy`).
     timing:
         Timing model name or instance (see :mod:`repro.lap.timing`).
     core_frequencies_ghz:
@@ -173,8 +187,7 @@ class LAPRuntime:
         sweeps across it replay recorded schedules exactly.
     local_store_kb:
         Per-core local-store budget in KiB; enables the two-level hierarchy
-        (a per-core :class:`repro.lap.memory.LocalStore` above the shared
-        residency).  ``None`` (default) keeps the single-level model, whose
+        (a per-core local store above the shared residency).  ``None`` (default) keeps the single-level model, whose
         schedules and traffic are byte-identical to the pre-local-store
         runtime.
     stall_overlap:
@@ -183,20 +196,14 @@ class LAPRuntime:
         [0, 1] (see :func:`repro.lap.timing.compose_task_cycles`); 0
         (default) fully serialises them, 1 hides them entirely.
     tracer:
-        Optional :class:`repro.obs.tracer.Tracer`: every executed task then
-        becomes a span on its core's track (args carrying the cycle
-        decomposition and data-movement bytes), scheduler-idle gaps become
-        ``idle`` spans, and spill/stall counters accumulate timestamped
-        series.  ``None`` (default) and a disabled tracer record nothing
-        and leave schedules byte-identical to an uninstrumented run.
-    fast:
-        Route eligible ``execute()`` calls through the inlined scheduler
-        loop of :mod:`repro.lap.fastpath` (byte-identical schedules, stats
-        and attribution; see the equivalence suite).  Eligible means: the
-        tasks are a :class:`TaskGraph`, the policy is one of the five stock
-        policy classes (not a subclass) and no enabled tracer is attached;
-        anything else silently takes the reference loop, and ``last_fast``
-        reports which path the most recent call took.
+        Optional :class:`repro.obs.tracer.Tracer`: after each ``execute()``
+        every executed task becomes a span on its core's track (args
+        carrying the cycle decomposition and data-movement bytes),
+        scheduler-idle gaps become ``idle`` spans, and spill/stall counters
+        accumulate timestamped series in dispatch order.  The spans are
+        built from the recorded execution rows, so tracing never changes
+        the schedule; ``None`` (default) and a disabled tracer record
+        nothing.
     """
 
     def __init__(self, lap: LinearAlgebraProcessor, tile: int,
@@ -209,7 +216,6 @@ class LAPRuntime:
                  local_store_kb: Optional[float] = None,
                  stall_overlap: float = 0.0,
                  tracer: Optional[Tracer] = None,
-                 fast: bool = False,
                  offchip_pj_per_byte: Optional[float] = None):
         self.lap = lap
         self.tile = tile
@@ -232,9 +238,6 @@ class LAPRuntime:
             raise ValueError("stall_overlap must lie in [0, 1]")
         self.stall_overlap = float(stall_overlap)
         self.tracer = tracer
-        self.fast = bool(fast)
-        #: Whether the most recent ``execute()`` took the fast path.
-        self.last_fast = False
         #: Memory hierarchy of the most recent ``execute()`` call (or None);
         #: named distinctly from the ``memory`` enable flag, which is stored
         #: as ``memory_enabled``.
@@ -255,36 +258,23 @@ class LAPRuntime:
         self.core_frequencies_ghz = frequencies
         self._homogeneous = all(f == reference for f in frequencies)
         self._executions: Optional[List[TaskExecution]] = []
-        self._exec_rows: Optional[List[Tuple]] = None
         self._exec_build: Optional[Callable[[], List[TaskExecution]]] = None
-        #: Graph of the most recent ``execute()`` call when it was a
-        #: TaskGraph (lets schedule_trace derive per-task energy triples on
-        #: the fast path, whose memory events are never materialised).
+        #: Graph of the most recent ``execute()`` call (schedule_trace
+        #: derives per-task energy triples from its footprint arrays).
         self._last_graph: Optional[TaskGraph] = None
 
     @property
     def executions(self) -> List[TaskExecution]:
         """Per-task records of the most recent ``execute()`` call.
 
-        The fast path records plain field tuples during the loop and this
-        property materialises the :class:`TaskExecution` rows on first
-        access, so a schedule that is only reduced to stats never pays for
-        a million dataclass constructions.
+        The scheduler loop records plain field tuples and this property
+        materialises the :class:`TaskExecution` rows on first access, so a
+        schedule that is only reduced to stats never pays for a million
+        dataclass constructions.
         """
         if self._executions is None:
-            build = self._exec_build
-            if build is not None:
-                self._executions = build()
-            else:
-                self._executions = [TaskExecution(*row)
-                                    for row in self._exec_rows]
+            self._executions = self._exec_build()
         return self._executions
-
-    @executions.setter
-    def executions(self, value: List[TaskExecution]) -> None:
-        self._executions = value
-        self._exec_rows = None
-        self._exec_build = None
 
     # ------------------------------------------------------------ execution
     def _run_task(self, task: TaskDescriptor, core_index: int, tiles: Dict) -> int:
@@ -485,6 +475,10 @@ class LAPRuntime:
                 verify: bool = True) -> Dict[str, object]:
         """Run a task graph to completion; returns makespan and per-core stats.
 
+        ``tasks`` is a :class:`TaskGraph` or any sequence of task
+        descriptors, which is wrapped in one (so duplicate ids and
+        dependencies on unknown ids raise :class:`ValueError`; a dependency
+        cycle raises :class:`RuntimeError` once the loop runs dry).
         ``tiles`` maps operand names ("A", "B", "C", "L") to dictionaries of
         tile arrays keyed by block coordinates; tasks update them in place
         (tiled QR additionally keeps its ``tau`` scalars under ``"TAU"``).
@@ -492,203 +486,81 @@ class LAPRuntime:
         numerically exact through reference updates so residual checks remain
         possible.
 
-        The loop is event driven: a heap of ready tasks ordered by the
-        scheduling policy and a single accumulation pass over per-core busy
-        time -- O(V log V + E) for the static policies.  With data-movement accounting
-        enabled every dispatched task also updates the tile-residency model
-        (in dispatch order, the serialisation the shared on-chip memory
-        sees); spill refills stall the task through the off-chip bandwidth
-        and the stats gain unified traffic / stall / energy totals.
-        Policies with ``dynamic_priority`` (memory_aware) have stale heap
-        keys lazily re-validated against the current residency state; that
+        The loop (:func:`repro.lap.fastpath.execute_fast`) is event driven:
+        a heap of ready tasks ordered by the scheduling policy and a single
+        accumulation pass over per-core busy time -- O(V log V + E) for the
+        static policies.  With data-movement accounting enabled every
+        dispatched task also updates the tile-residency model (in dispatch
+        order, the serialisation the shared on-chip memory sees); spill
+        refills stall the task through the off-chip bandwidth and the stats
+        gain unified traffic / stall / energy totals.  Policies with
+        ``dynamic_priority`` (memory_aware, affinity) have stale heap keys
+        lazily re-validated against the current residency state; that
         re-validation is bounded at one refresh per entry between
         executions, so those policies are worst-case O(V^2 log V) (in
         practice close to the static bound, since only entries that reach
-        the heap top are refreshed).
-
-        With ``fast=True`` an eligible call (a :class:`TaskGraph`, a stock
-        policy class, no enabled tracer) is routed through the inlined loop
-        of :mod:`repro.lap.fastpath`, which produces byte-identical results.
+        the heap top are refreshed).  An enabled tracer receives the
+        schedule's spans and counters after the loop.
         """
-        self._last_graph = tasks if isinstance(tasks, TaskGraph) else None
-        if (self.fast and isinstance(tasks, TaskGraph)
-                and (self.tracer is None or not self.tracer.enabled)
-                and type(self.policy) in _POLICY_CODES):
-            self.last_fast = True
-            return execute_fast(self, tasks, tiles, verify)
-        self.last_fast = False
-        task_list = list(tasks)
-        by_id: Dict[int, TaskDescriptor] = {}
-        for task in task_list:
-            if task.task_id in by_id:
-                raise ValueError(f"duplicate task id {task.task_id}")
-            by_id[task.task_id] = task
-        successors: Dict[int, List[int]] = {tid: [] for tid in by_id}
-        indegree: Dict[int, int] = {}
-        for task in task_list:
-            deps = set(task.depends_on)
-            indegree[task.task_id] = len(deps)
-            for dep in deps:
-                if dep in successors:
-                    successors[dep].append(task.task_id)
-                # Unknown dependency ids can never complete; the task stays
-                # unscheduled and the deadlock check below reports it.
-
-        memory = (MemoryHierarchy.for_chip(
-            self.lap, self.tile,
-            on_chip_kb=self.on_chip_kb,
-            bandwidth_gbs=self.bandwidth_gbs,
-            local_store_kb=self.local_store_kb,
-            offchip_pj_per_byte=self.offchip_pj_per_byte)
-                  if self.memory_enabled else None)
-        tracer = (self.tracer if self.tracer is not None and self.tracer.enabled
-                  else None)
-        self.last_memory = memory
-        self.policy.prepare(tasks if isinstance(tasks, TaskGraph) else task_list)
-        self.policy.bind_memory(memory)
-        dynamic = bool(getattr(self.policy, "dynamic_priority", False)
-                       and memory is not None)
-        ctx = _ExecutionContext(self, tiles)
-        num_cores = len(self.lap.cores)
-        reference_freq = self.lap.config.frequency_ghz
-        core_free_at: List[float] = [0] * num_cores
-        busy_cycles: List[int] = [0] * num_cores
-        busy_time: List[float] = [0] * num_cores
-        tile_owner: Dict[Tuple[int, int], int] = {}
-        self.policy.bind_owners(tile_owner)
-        ready_time: Dict[int, float] = {}
-        end_time: Dict[int, float] = {}
-        self.executions = executions = []
-
-        # Heap entries are (priority_tuple, task_id, residency_version): the
-        # policy key orders tasks, the task id breaks ties exactly as the
-        # pre-refactor flat tuples did, and the trailing version stamp lets
-        # dynamic policies detect keys computed against a residency state
-        # that has since moved on (it never influences the ordering).
-        version = memory.version if memory is not None else 0
-        heap: List[Tuple] = []
-        for task in task_list:
-            if indegree[task.task_id] == 0:
-                ready_time[task.task_id] = 0
-                heapq.heappush(heap, (self.policy.priority(task, 0),
-                                      task.task_id, version))
-
-        while heap:
-            key, task_id, stamp = heapq.heappop(heap)
-            task = by_id[task_id]
-            ready = ready_time[task_id]
-            if dynamic and stamp != memory.version:
-                # Lazy re-validation: recompute the stale key; if the task no
-                # longer leads the heap, push it back and look again.  Keys
-                # are re-stamped with the current version, and the version
-                # only advances when a task executes, so every entry is
-                # refreshed at most once between executions (bounded work).
-                key = self.policy.priority(task, ready)
-                if heap and (key, task_id) > (heap[0][0], heap[0][1]):
-                    heapq.heappush(heap, (key, task_id, memory.version))
-                    continue
-            ctx.core_index = core_index = self.policy.choose_core(
-                task, ready, core_free_at, tile_owner)
-            cycles = self.timing.task_cycles(task, ctx, verify)
-            if self._homogeneous:
-                duration = cycles
-            else:
-                duration = cycles * reference_freq / self.core_frequencies_ghz[core_index]
-            compute_duration = duration
-            stall = 0.0
-            refill = energy = local_cycles = local_hit = 0.0
-            spill_b = transfer_b = writeback_b = 0.0
-            event = None
-            if memory is not None:
-                event = memory.account(task, core_index)
-                stall = event.stall_cycles
-                refill = event.refill_bytes
-                energy = event.energy_j
-                local_cycles = event.local_transfer_cycles
-                local_hit = event.local_hit_bytes
-                spill_b = event.spill_refill_bytes
-                transfer_b = event.shared_to_local_bytes + event.c2c_bytes
-                writeback_b = event.writeback_bytes
-                duration = compose_task_cycles(duration, stall,
-                                               self.stall_overlap,
-                                               local_cycles)
-            start = max(core_free_at[core_index], ready)
-            end = start + duration
-            core_free_at[core_index] = end
-            busy_cycles[core_index] += cycles
-            # Efficiency counts compute only: a stalled core is occupied but
-            # not doing useful work, so memory pressure must *lower* the
-            # reported parallel efficiency, never pad it.
-            busy_time[core_index] += compute_duration
-            end_time[task.task_id] = end
-            tile_owner[task.output] = core_index
-            executions.append(TaskExecution(task.task_id, task.kind, core_index,
-                                            start, end, stall_cycles=stall,
-                                            refill_bytes=refill,
-                                            energy_j=energy,
-                                            local_transfer_cycles=local_cycles,
-                                            local_hit_bytes=local_hit,
-                                            compute_cycles=compute_duration,
-                                            spill_bytes=spill_b,
-                                            transfer_bytes=transfer_b,
-                                            writeback_bytes=writeback_b))
-            if tracer is not None:
-                decomposition = decompose_task_cycles(
-                    compute_duration, stall, self.stall_overlap, local_cycles)
-                args = {
-                    "task_id": task.task_id,
-                    "kind": task.kind.value,
-                    "compute_cycles": decomposition["compute"],
-                    "spill_stall_cycles": decomposition["spill_stall"],
-                    "transfer_cycles": decomposition["transfer"],
-                    "hidden_cycles": decomposition["hidden"],
-                }
-                if event is not None:
-                    args.update(event.as_args())
-                    tracer.counter("offchip_spill_bytes").add(
-                        event.spill_refill_bytes, ts=end)
-                    tracer.counter("stall_cycles").add(stall, ts=end)
-                tracer.span(f"{task.kind.value}#{task.task_id}",
-                            track=core_index, start=start, end=end,
-                            category="task", args=args)
-            for succ_id in successors[task.task_id]:
-                ready_time[succ_id] = max(ready_time.get(succ_id, 0), end)
-                indegree[succ_id] -= 1
-                if indegree[succ_id] == 0:
-                    succ = by_id[succ_id]
-                    heapq.heappush(heap, (
-                        self.policy.priority(succ, ready_time[succ_id]),
-                        succ_id,
-                        memory.version if memory is not None else 0))
-
-        if len(executions) != len(task_list):
-            raise RuntimeError("task graph deadlock: circular dependencies")
-
-        makespan = max(core_free_at) if core_free_at else 0
-        self.last_makespan = float(makespan)
-        if tracer is not None:
-            for core, gap_start, gap_end in idle_gaps(self.executions,
-                                                      num_cores, makespan):
-                tracer.span("idle", track=core, start=gap_start, end=gap_end,
-                            category="idle",
-                            args={"idle_cycles": gap_end - gap_start})
-        stats: Dict[str, object] = {
-            "makespan_cycles": makespan,
-            "per_core_busy_cycles": busy_cycles,
-            "parallel_efficiency": (sum(busy_time) / (makespan * num_cores))
-            if makespan else 0.0,
-            "tasks_executed": len(self.executions),
-            "policy": self.policy.name,
-            "timing": self.timing.name,
-            "makespan_ns": makespan / reference_freq,
-            "data_valid": self.timing.keeps_data(verify),
-        }
-        if memory is not None:
-            memory.finish()
-            stats.update(memory.summary())
-        if isinstance(tasks, TaskGraph):
-            stats["graph"] = tasks.summary()
+        graph = tasks if isinstance(tasks, TaskGraph) else TaskGraph(list(tasks))
+        self._last_graph = graph
+        stats = execute_fast(self, graph, tiles, verify)
+        if self.tracer is not None and self.tracer.enabled:
+            self._emit_trace(self.tracer, stats["makespan_cycles"])
         return stats
+
+    def _emit_trace(self, tracer: Tracer, makespan: float) -> None:
+        """Record the most recent schedule on ``tracer``.
+
+        One span per task on its core's track, in dispatch order, with the
+        cycle decomposition and (memory accounting on) the non-zero
+        data-movement fields as args; with memory accounting on also the
+        ``offchip_spill_bytes`` and ``stall_cycles`` counter series sampled
+        at each task's end; finally the per-core ``idle`` gaps.
+        """
+        memory = self.last_memory is not None
+        overlap = self.stall_overlap
+        tile = self.tile
+        executions = self.executions
+        for e in executions:
+            decomposition = decompose_task_cycles(
+                e.compute_cycles, e.stall_cycles, overlap,
+                e.local_transfer_cycles)
+            kind = e.kind.value
+            args = {
+                "task_id": e.task_id,
+                "kind": kind,
+                "compute_cycles": decomposition["compute"],
+                "spill_stall_cycles": decomposition["spill_stall"],
+                "transfer_cycles": decomposition["transfer"],
+                "hidden_cycles": decomposition["hidden"],
+            }
+            if memory:
+                moved = {
+                    "refill_bytes": e.refill_bytes,
+                    "compulsory_bytes": e.refill_bytes - e.spill_bytes,
+                    "spill_refill_bytes": e.spill_bytes,
+                    "writeback_bytes": e.writeback_bytes,
+                    "energy_j": e.energy_j,
+                    "flops": _TASK_FLOPS[e.kind](tile),
+                    "local_hit_bytes": e.local_hit_bytes,
+                    "shared_to_local_bytes": e.shared_to_local_bytes,
+                    "c2c_bytes": e.c2c_bytes,
+                }
+                args.update((name, value) for name, value in moved.items()
+                            if value)
+                tracer.counter("offchip_spill_bytes").add(e.spill_bytes,
+                                                          ts=e.end_cycle)
+                tracer.counter("stall_cycles").add(e.stall_cycles,
+                                                   ts=e.end_cycle)
+            tracer.span(f"{kind}#{e.task_id}", track=e.core_index,
+                        start=e.start_cycle, end=e.end_cycle,
+                        category="task", args=args)
+        for core, gap_start, gap_end in idle_gaps(
+                executions, len(self.lap.cores), makespan):
+            tracer.span("idle", track=core, start=gap_start, end=gap_end,
+                        category="idle",
+                        args={"idle_cycles": gap_end - gap_start})
 
     def attribution(self) -> CycleAttribution:
         """Cycle attribution of the most recent ``execute()`` call.
@@ -714,10 +586,9 @@ class LAPRuntime:
         runner's replay fast path).  With memory accounting on, the trace
         also carries a lazy thunk producing per-task ``(flops,
         onchip_bytes, offchip_bytes)`` energy triples, so energy-constant
-        deltas re-key the energy column per task instead of re-simulating:
-        the reference loop derives them from the recorded memory events,
-        the fast loop (which never materialises events) from the execution
-        rows plus the graph's footprint arrays.
+        deltas re-key the energy column per task instead of re-simulating;
+        they are derived from the execution rows plus the graph's footprint
+        arrays.
         """
         memory = self.last_memory
         rows = self.executions
@@ -730,21 +601,13 @@ class LAPRuntime:
                                 energy.onchip_energy_per_byte_j,
                                 energy.offchip_energy_per_byte_j)
             flush_wb = memory.flush_writeback_bytes
-            if memory.events:
-                events = list(memory.events)
-
-                def triples_thunk(events=events):
-                    return [(e.flops, e.onchip_bytes,
-                             e.refill_bytes + e.writeback_bytes)
-                            for e in events]
-            elif rows and self._last_graph is not None:
+            if rows and self._last_graph is not None:
                 arrays = self._last_graph.fast_arrays()
                 tile = self.tile
                 tile_bytes = memory.residency.tile_bytes
 
                 def triples_thunk(rows=rows, arrays=arrays, tile=tile,
                                   tile_bytes=tile_bytes):
-                    from repro.lap.taskgraph import _TASK_FLOPS
                     id2idx = arrays.id2idx
                     rw_len = arrays.rw_len
                     return [(_TASK_FLOPS[e.kind](tile),

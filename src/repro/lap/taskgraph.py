@@ -307,7 +307,7 @@ class TaskGraph(collections.abc.Sequence):
         return max(lengths.values(), default=0.0)
 
     def fast_arrays(self):
-        """Dense array form of the graph for the fast scheduler loop.
+        """Dense array form of the graph for the scheduler loop.
 
         Built on first use and cached (the graph is immutable); see
         :class:`repro.lap.fastpath.GraphArrays`.
@@ -405,7 +405,7 @@ class AlgorithmsByBlocks:
         counter still advances by ``len(graph)``, keeping the instance's
         visible id trajectory indistinguishable from an uncached build.
         Reuse is safe because :class:`TaskGraph` is immutable and consumers
-        attach only derived, shareable state (summary tables, fast-path
+        attach only derived, shareable state (summary tables, scheduler-loop
         arrays); sharing those across sweep points is exactly the point --
         a million-task sweep pays the descriptor build once per process.
         """

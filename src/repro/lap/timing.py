@@ -50,7 +50,7 @@ def compose_task_cycles(compute_cycles: float, stall_cycles: float,
     task caused (:class:`repro.lap.memory.BandwidthModel`); compulsory
     streaming is assumed fully overlapped by the LAP's double buffering and
     never appears here.  ``local_transfer_cycles`` is the shared-to-local
-    movement of the two-level hierarchy (:class:`repro.lap.memory.LocalStore`
+    movement of the two-level hierarchy (:class:`repro.lap.fastpath.FastLocalStore`
     fills through the on-chip bandwidth); it defaults to 0 so single-level
     callers are unchanged.  ``overlap_fraction`` models partial prefetching
     of both terms under compute (0 = fully serialised, the conservative

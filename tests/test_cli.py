@@ -219,6 +219,16 @@ def test_sweep_warns_on_unknown_parameter(capsys):
     assert "ignores parameter(s) coresz" in err
 
 
+def test_sweep_warns_on_retired_fast_parameter(capsys):
+    """`fast` no longer selects a scheduler loop (there is one), so a sweep
+    axis naming it is flagged like any other unknown parameter."""
+    assert main(["sweep", "--runner", "lap_runtime", "--set", "n=16",
+                 "--set", "timing=memoized", "--set", "verify=0",
+                 "--grid", "fast=0,1", "--no-cache"]) == 0
+    err = capsys.readouterr().err
+    assert "ignores parameter(s) fast" in err
+
+
 def test_sweep_rejects_unknown_objective(capsys):
     argv = ["sweep", "--runner", "design", "--grid", "cores=4,8",
             "--no-cache", "--objectives", "not_a_column"]
@@ -420,29 +430,6 @@ def test_trace_with_memory_pressure_reports_stalls(tmp_path, capsys):
     with open(out) as handle:
         totals = json.load(handle)["metadata"]["cycle_attribution"]["totals"]
     assert totals["spill_stall"] > 0 and totals["transfer"] > 0
-
-
-def test_trace_fast_falls_back_to_instrumented_loop(tmp_path, capsys):
-    """--fast under tracing is cleanly rejected: the reference loop runs
-    (spans need its instrumentation), a note says so, and the exported trace
-    equals the one a plain run writes -- schedules are byte-identical."""
-    out = str(tmp_path / "fast.trace.json")
-    assert main(["trace", "--workload", "cholesky", "--n", "64",
-                 "--tile", "16", "--cores", "2", "--out", out, "--fast"]) == 0
-    captured = capsys.readouterr()
-    assert "reference scheduler loop" in captured.err
-    assert "byte-identical" in captured.err
-    with open(out) as handle:
-        fast_payload = json.load(handle)
-    plain = str(tmp_path / "plain.trace.json")
-    assert main(["trace", "--workload", "cholesky", "--n", "64",
-                 "--tile", "16", "--cores", "2", "--out", plain]) == 0
-    capsys.readouterr()
-    with open(plain) as handle:
-        plain_payload = json.load(handle)
-    assert (fast_payload["metadata"]["cycle_attribution"]
-            == plain_payload["metadata"]["cycle_attribution"])
-    assert fast_payload["traceEvents"] == plain_payload["traceEvents"]
 
 
 def test_trace_rejects_bad_geometry(tmp_path, capsys):

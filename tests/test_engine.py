@@ -700,8 +700,7 @@ class TestConcurrentStats:
 class TestReplaySidecar:
     def _lap_jobs(self, **overrides):
         base = {"algorithm": "cholesky", "n": 32, "tile": 8, "num_cores": 2,
-                "nr": 4, "seed": 3, "timing": "memoized", "verify": False,
-                "fast": True}
+                "nr": 4, "seed": 3, "timing": "memoized", "verify": False}
         base.update(overrides)
         return [Job.create("lap_runtime", base)]
 

@@ -1,23 +1,27 @@
-"""Byte-identical equivalence of the fastpath scheduler against the reference.
+"""Byte-identical equivalence of the scheduler loop against the oracle.
 
-The inlined hot loop of :mod:`repro.lap.fastpath` exists purely for speed:
-``LAPRuntime(..., fast=True)`` must produce *exactly* the rows the reference
-event loop produces -- same stats dict, same :class:`TaskExecution` records
-field by field (values and Python types), same cycle attribution, same
-schedule trace -- or downstream sweeps silently fork.  This suite pins that
-contract:
+``LAPRuntime.execute`` runs the inlined loop of :mod:`repro.lap.fastpath`;
+``tests/oracle/`` keeps the reference event loop (policy hooks called per
+task, ``OrderedDict`` residency levels, per-task tracer calls).  The two
+must produce *exactly* the same rows -- same stats dict, same
+:class:`TaskExecution` records field by field (values and Python types),
+same cycle attribution, same schedule trace and energy triples, same
+tracer spans and counters -- or downstream sweeps silently fork.  This
+suite pins that contract:
 
 * the full matrix of all four algorithms-by-blocks workloads x all five
   scheduling policies x {single-level, two-level} hierarchies under
   constrained capacity (spills, stalls and writebacks exercised);
+* tracer output over the five policies x {single-level, two-level} x
+  {memory on, memory off};
 * the SoA batch kernels (CSR ``missing_bytes`` / resident-footprint
-  scoring) against their scalar oracles on random residency states;
+  scoring) against their scalar forms on random residency states;
 * the specialized greedy single-level loop (the million-task path) and its
   lazily-built execution records;
 * verify=True (numerically exact tiles) and heterogeneous-frequency /
-  prefetch-overlap variants that take the generic fast loop;
+  prefetch-overlap variants that take the generic loop;
 * the ``lap_runtime`` runner rows against the committed PR-4/PR-5 goldens
-  with ``fast=True``, and replayed delta-sweep rows against re-simulation.
+  on both loops, and replayed delta-sweep rows against re-simulation.
 """
 
 import dataclasses
@@ -29,10 +33,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import ReferenceRuntime, reference_loop
 from repro.engine.runners import get_runner
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
 from repro.lap.runtime import LAPRuntime
 from repro.lap.taskgraph import AlgorithmsByBlocks
+from repro.obs import Tracer
 
 TILE = 8
 SIZES = {"cholesky": 40, "gemm": 32, "lu": 40, "qr": 32}
@@ -43,16 +49,18 @@ LEVELS = [None, 1.0]
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "goldens"
 
 
-def make_runtime(fast, policy="greedy", local_store_kb=None, timing="memoized",
-                 on_chip_kb=3.0, bandwidth_gbs=16.0, stall_overlap=0.0,
-                 frequencies=None, num_cores=4, memory=True):
+def make_runtime(production, policy="greedy", local_store_kb=None,
+                 timing="memoized", on_chip_kb=3.0, bandwidth_gbs=16.0,
+                 stall_overlap=0.0, frequencies=None, num_cores=4, memory=True,
+                 tracer=None):
+    """A production runtime (``production=True``) or an oracle one."""
     lap = LinearAlgebraProcessor(LAPConfig(num_cores=num_cores, nr=4,
                                            onchip_memory_mbytes=1.0))
-    return LAPRuntime(lap, TILE, policy=policy, timing=timing, memory=memory,
-                      on_chip_kb=on_chip_kb, bandwidth_gbs=bandwidth_gbs,
-                      local_store_kb=local_store_kb,
-                      stall_overlap=stall_overlap,
-                      core_frequencies_ghz=frequencies, fast=fast)
+    cls = LAPRuntime if production else ReferenceRuntime
+    return cls(lap, TILE, policy=policy, timing=timing, memory=memory,
+               on_chip_kb=on_chip_kb, bandwidth_gbs=bandwidth_gbs,
+               local_store_kb=local_store_kb, stall_overlap=stall_overlap,
+               core_frequencies_ghz=frequencies, tracer=tracer)
 
 
 def make_tiles(nb=6):
@@ -87,7 +95,6 @@ def assert_executions_identical(ref_rt, fast_rt):
 def assert_runs_identical(ref_rt, fast_rt, graph, verify=False):
     ref_stats = ref_rt.execute(graph, make_tiles(), verify=verify)
     fast_stats = fast_rt.execute(graph, make_tiles(), verify=verify)
-    assert not ref_rt.last_fast and fast_rt.last_fast
     assert_stats_identical(ref_stats, fast_stats)
     assert_executions_identical(ref_rt, fast_rt)
     ref_att, fast_att = ref_rt.attribution(), fast_rt.attribution()
@@ -113,6 +120,10 @@ def assert_runs_identical(ref_rt, fast_rt, graph, verify=False):
         assert ref_trace.rekey_energy_j(*ref_trace.energy_constants) == expected
         assert (fast_trace.rekey_energy_j(*fast_trace.energy_constants)
                 == expected)
+        # The triples the production trace derives from its rows equal the
+        # oracle's per-task memory events.
+        assert (fast_trace.energy_triples()
+                == ref_rt.last_memory.energy_triples())
     return ref_stats
 
 
@@ -151,7 +162,7 @@ def test_verify_true_keeps_tiles_exact_and_identical():
 
 def test_generic_fast_loop_variants_identical():
     """Heterogeneous clocks / prefetch overlap / disabled memory all route
-    through the generic fast loop; each stays byte-identical."""
+    through the generic loop; each stays byte-identical."""
     graph = AlgorithmsByBlocks(TILE).cholesky_tasks(40)
     for kwargs in ({"frequencies": [1.0, 2.0, 1.0, 2.0]},
                    {"stall_overlap": 0.5, "local_store_kb": 1.0},
@@ -162,10 +173,51 @@ def test_generic_fast_loop_variants_identical():
         assert_runs_identical(ref_rt, fast_rt, graph)
 
 
+# ----------------------------------------------------------------- tracer
+def _tracer_dump(tracer):
+    """Everything a tracer recorded, as JSON text (so float-vs-int drift in
+    any span arg or counter sample shows up as a difference)."""
+    spans = [[s.name, s.track, s.start, s.end, s.category, s.args]
+             for s in tracer.spans]
+    counters = {name: counter.series
+                for name, counter in sorted(tracer.counters.items())}
+    return json.dumps({"spans": spans, "counters": counters})
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("local_store_kb", LEVELS)
+@pytest.mark.parametrize("memory", [True, False])
+def test_tracer_output_matches_reference(policy, local_store_kb, memory):
+    """Spans (names, tracks, times, args), the spill/stall counter series
+    and the idle spans the scheduler loop emits after the run equal what the
+    oracle loop emits task by task."""
+    graph = AlgorithmsByBlocks(TILE).cholesky_tasks(40)
+    ref_tracer, fast_tracer = Tracer(), Tracer()
+    ref_rt = make_runtime(False, policy=policy, local_store_kb=local_store_kb,
+                          memory=memory, tracer=ref_tracer)
+    fast_rt = make_runtime(True, policy=policy, local_store_kb=local_store_kb,
+                           memory=memory, tracer=fast_tracer)
+    ref_rt.execute(graph, make_tiles(), verify=False)
+    fast_rt.execute(graph, make_tiles(), verify=False)
+    assert _tracer_dump(fast_tracer) == _tracer_dump(ref_tracer)
+    tasks = [s for s in fast_tracer.spans if s.category == "task"]
+    assert len(tasks) == len(graph)
+    assert any(s.category == "idle" for s in fast_tracer.spans)
+    if not memory:
+        assert not fast_tracer.counters
+        return
+    # Capacity is constrained: stalls (and, two-level, core-to-core copies)
+    # must actually occur for the comparison to cover them.
+    assert fast_tracer.counter("stall_cycles").value > 0
+    assert any("spill_refill_bytes" in s.args for s in tasks)
+    if local_store_kb is not None:
+        assert any("c2c_bytes" in s.args for s in tasks)
+
+
 # ---------------------------------------------------------------- goldens
 #: The committed PR-4 golden cases (kept in sync with
-#: tests/test_lap_memory.py::GOLDEN_CASES); the fast path must reproduce the
-#: golden rows -- not merely match a fresh reference run.
+#: tests/test_lap_memory.py::GOLDEN_CASES); the scheduler loop must reproduce
+#: the golden rows -- not merely match a fresh oracle run.
 MEMORY_GOLDEN_CASES = [
     {"algorithm": "cholesky", "n": 48, "tile": 8, "num_cores": 2, "nr": 4,
      "seed": 0, "timing": "memoized", "verify": False},
@@ -186,15 +238,17 @@ MEMORY_GOLDEN_CASES = [
 
 
 def test_runner_fast_rows_match_memory_goldens():
-    """`lap_runtime` rows with fast=True reproduce the committed golden
-    sweep (and equal the reference rows exactly, not just to tolerance)."""
+    """`lap_runtime` rows reproduce the committed golden sweep (and equal
+    the oracle loop's rows exactly, not just to tolerance)."""
     golden = json.loads(
         (GOLDEN_DIR / "runtime" / "lap_runtime_memory.json").read_text())
     runner = get_runner("lap_runtime")
     assert len(golden) == len(MEMORY_GOLDEN_CASES)
     for case, expected in zip(MEMORY_GOLDEN_CASES, golden):
-        ref_row = runner({**case, "replay": "off"})
-        fast_row = runner({**case, "fast": True, "replay": "off"})
+        with reference_loop():
+            ref_row = runner({**case, "replay": "off"})
+        fast_row = runner({**case, "replay": "off"})
+        assert list(ref_row) == list(fast_row)
         assert ref_row == fast_row
         assert set(fast_row) == set(expected)
         for key, value in expected.items():
@@ -207,15 +261,17 @@ def test_runner_fast_rows_match_memory_goldens():
 
 def test_runner_policy_golden_rows_survive_fast():
     """The PR-3 policy-comparison golden (makespans per policy/core count)
-    is reproduced by the fast path."""
+    is reproduced by the scheduler loop, in rows equal to the oracle's."""
     golden = json.loads((GOLDEN_DIR / "runtime_policies.json").read_text())
     runner = get_runner("lap_runtime")
     for row in golden[:6]:
-        fast_row = runner({"algorithm": "cholesky", "n": row["n"],
-                           "tile": row["tile"], "num_cores": row["num_cores"],
-                           "nr": 4, "seed": 0, "timing": "memoized",
-                           "verify": False, "policy": row["policy"],
-                           "fast": True, "replay": "off"})
+        params = {"algorithm": "cholesky", "n": row["n"], "tile": row["tile"],
+                  "num_cores": row["num_cores"], "nr": 4, "seed": 0,
+                  "timing": "memoized", "verify": False,
+                  "policy": row["policy"], "replay": "off"}
+        fast_row = runner(dict(params))
+        with reference_loop():
+            assert runner(dict(params)) == fast_row
         assert fast_row["makespan_cycles"] == row["makespan_cycles"]
         assert fast_row["tasks_executed"] == row["tasks"]
 
@@ -290,7 +346,7 @@ def test_local_store_batch_kernels_match_scalar(case):
 
 def test_bulk_priorities_match_scalar_keys():
     """`MemoryAware.bulk_priorities` reproduces the scalar priority keys
-    (values and types) over a live fast hierarchy, both hierarchies."""
+    (values and types) over a live SoA hierarchy, both hierarchies."""
     from repro.lap.policies import MemoryAware
 
     for local_store_kb in LEVELS:
@@ -310,8 +366,6 @@ def test_bulk_priorities_match_scalar_keys():
             scalar = policy.priority(arrays.tasks[pos], r)
             assert key == scalar
             assert all(type(a) is type(b) for a, b in zip(key, scalar))
-        # Non-fast hierarchies fall back to scalar scoring.
-        assert policy.bulk_priorities(arrays, None, indices, ready) is None
         assert policy.bulk_priorities(arrays, memory, [], []) == []
 
 
@@ -356,8 +410,7 @@ def test_replay_delta_rows_equal_resimulation():
 
     runner = get_runner("lap_runtime")
     base = {"algorithm": "cholesky", "n": 48, "tile": 8, "num_cores": 2,
-            "nr": 4, "seed": 11, "timing": "memoized", "verify": False,
-            "fast": True}
+            "nr": 4, "seed": 11, "timing": "memoized", "verify": False}
     # Unconstrained capacity: zero spill traffic, so a bandwidth delta is
     # provably schedule-invariant and must be replayed.
     runner(dict(base))  # records the trace
@@ -388,7 +441,7 @@ def test_frequency_and_energy_replay_equal_resimulation():
     for policy, local_store_kb in (("memory_aware", None), ("affinity", 1.0)):
         base = {"algorithm": "cholesky", "n": 48, "tile": 8, "num_cores": 2,
                 "nr": 4, "seed": 21, "timing": "memoized", "verify": False,
-                "policy": policy, "fast": True}
+                "policy": policy}
         if local_store_kb is not None:
             base["local_store_kb"] = local_store_kb
         runner(dict(base))  # records the trace
@@ -413,8 +466,7 @@ def test_frequency_replay_rejections_force_resimulation():
 
     runner = get_runner("lap_runtime")
     base = {"algorithm": "cholesky", "n": 48, "tile": 8, "num_cores": 2,
-            "nr": 4, "seed": 27, "timing": "memoized", "verify": False,
-            "fast": True}
+            "nr": 4, "seed": 27, "timing": "memoized", "verify": False}
     # Heterogeneous per-core clocks (either side) reject the delta.
     het = {**base, "core_frequencies_ghz": "1.0:2.0"}
     runner(dict(het))

@@ -1,16 +1,18 @@
 """Tests for the unified memory-hierarchy layer of the LAP runtime.
 
-Covers the tile-residency LRU, the bandwidth-stall and energy models, the
-task footprints in the IR, the memory_aware policy, the off-chip shim
-equivalence, and the tolerance-compared golden of the traffic / stall /
-energy columns the ``lap_runtime`` runner now reports.
+Covers the tile-residency and local-store LRUs, the bandwidth-stall and
+energy models, the task footprints in the IR, the memory_aware policy, the
+off-chip shim equivalence, and the tolerance-compared golden of the traffic /
+stall / energy columns the ``lap_runtime`` runner reports.  Per-task
+accounting examples run on the test oracle's
+:class:`~oracle.memory.ReferenceMemoryHierarchy` (the production loop inlines
+that accounting; the equivalence suite pins the two together).
 
 Refreshing the runner golden after an intentional model change::
 
     REPRO_UPDATE_GOLDENS=1 PYTHONPATH=src python -m pytest tests/test_lap_memory.py
 """
 
-import importlib
 import json
 import os
 import pathlib
@@ -18,11 +20,13 @@ import pathlib
 import numpy as np
 import pytest
 
+from oracle import ReferenceMemoryHierarchy
 from repro.engine.runners import get_runner
 from repro.hw.memory import OffChipInterface
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
+from repro.lap.fastpath import FastLocalStore, FastTileResidency
 from repro.lap.memory import (BandwidthModel, MemoryHierarchy, TaskEnergyModel,
-                              TileResidency, gemm_stream_traffic)
+                              gemm_stream_traffic)
 from repro.lap.offchip import OffChipTrafficModel, TrafficSummary
 from repro.lap.runtime import LAPRuntime
 from repro.lap.taskgraph import (AlgorithmsByBlocks, TaskDescriptor, TaskKind,
@@ -86,12 +90,12 @@ class TestTaskFootprints:
 class TestTileResidency:
     def test_validation(self):
         with pytest.raises(ValueError):
-            TileResidency(0, 512)
+            FastTileResidency(0, 512)
         with pytest.raises(ValueError):
-            TileResidency(1024, 0)
+            FastTileResidency(1024, 0)
 
     def test_cold_misses_are_compulsory_once(self):
-        res = TileResidency(capacity_bytes=4096, tile_bytes=512)
+        res = FastTileResidency(capacity_bytes=4096, tile_bytes=512)
         refill, compulsory, spill, wb = res.touch([("A", (0, 0)), ("A", (0, 1))], [])
         assert (refill, compulsory, spill, wb) == (1024, 1024, 0, 0)
         # Re-touching resident tiles moves no bytes.
@@ -99,7 +103,7 @@ class TestTileResidency:
         assert (refill, compulsory, spill, wb) == (0, 0, 0, 0)
 
     def test_capacity_eviction_and_spill_refill(self):
-        res = TileResidency(capacity_bytes=1024, tile_bytes=512)  # 2 tiles
+        res = FastTileResidency(capacity_bytes=1024, tile_bytes=512)  # 2 tiles
         res.touch([("A", (0, 0)), ("A", (0, 1))], [])
         res.touch([("A", (0, 2))], [])          # evicts LRU (0, 0), clean
         assert not res.is_resident(("A", (0, 0)))
@@ -108,7 +112,7 @@ class TestTileResidency:
         assert res.resident_bytes <= 1024
 
     def test_dirty_eviction_writes_back(self):
-        res = TileResidency(capacity_bytes=1024, tile_bytes=512)
+        res = FastTileResidency(capacity_bytes=1024, tile_bytes=512)
         res.touch([], [("A", (0, 0))])           # dirty
         res.touch([("A", (0, 1))], [])
         _, _, _, wb = res.touch([("A", (0, 2))], [])  # evicts dirty (0, 0)
@@ -116,7 +120,7 @@ class TestTileResidency:
 
     def test_footprint_is_pinned_against_itself(self):
         """One task's tiles never evict each other, even above capacity."""
-        res = TileResidency(capacity_bytes=1024, tile_bytes=512)
+        res = FastTileResidency(capacity_bytes=1024, tile_bytes=512)
         refill, compulsory, spill, wb = res.touch(
             [("A", (0, 0)), ("A", (0, 1)), ("A", (0, 2))], [])
         assert compulsory == 3 * 512 and spill == 0
@@ -124,7 +128,7 @@ class TestTileResidency:
         assert res.peak_resident_bytes == 3 * 512
 
     def test_missing_bytes_and_flush(self):
-        res = TileResidency(capacity_bytes=4096, tile_bytes=512)
+        res = FastTileResidency(capacity_bytes=4096, tile_bytes=512)
         res.touch([("A", (0, 0))], [("A", (0, 1))])
         assert res.missing_bytes([("A", (0, 0)), ("A", (9, 9))]) == 512
         assert res.flush() == 512                # one dirty tile
@@ -182,7 +186,7 @@ class TestOffChipShim:
         streamed traffic exactly (every operand crosses the boundary once)."""
         n, tile, eb = 32, 8, 8
         graph = AlgorithmsByBlocks(tile=tile).gemm_tasks(n, n, n)
-        res = TileResidency(capacity_bytes=float("1e9"), tile_bytes=tile * tile * eb)
+        res = FastTileResidency(capacity_bytes=float("1e9"), tile_bytes=tile * tile * eb)
         refill = writeback = 0.0
         for task in graph:
             r, _, _, wb = res.touch(task.read_tiles(), task.write_tiles())
@@ -287,7 +291,7 @@ class TestRuntimeDataMovement:
             make_runtime(stall_overlap=1.5)
 
     def test_resident_touches_do_not_bump_residency_version(self):
-        res = TileResidency(capacity_bytes=4096, tile_bytes=512)
+        res = FastTileResidency(capacity_bytes=4096, tile_bytes=512)
         res.touch([("A", (0, 0))], [])
         version = res.version
         res.touch([("A", (0, 0))], [])           # fully resident: no-op
@@ -340,7 +344,7 @@ class TestRuntimeDataMovement:
 
     def test_hierarchy_rejects_reuse_after_finish(self):
         lap = LinearAlgebraProcessor(LAPConfig(num_cores=1, nr=4))
-        hierarchy = MemoryHierarchy.for_chip(lap, tile=8)
+        hierarchy = ReferenceMemoryHierarchy.for_chip(lap, tile=8)
         hierarchy.finish()
         task = TaskDescriptor(0, TaskKind.GEMM, output=(0, 0),
                               inputs=[(0, 0), (0, 0)])
@@ -370,26 +374,6 @@ def test_runtime_memory_golden_has_spills_and_policy_win():
     for kb in unconstrained:
         assert greedy[kb]["stall_cycles"] == 0
         assert aware[kb]["traffic_bytes"] == greedy[kb]["traffic_bytes"]
-
-
-# -------------------------------------------------------- deprecation shim
-def test_scheduler_module_is_a_deprecation_shim():
-    """A fresh import of repro.lap.scheduler warns, and every public name it
-    re-exports is the *same object* as in repro.lap.policies -- so the shim
-    cannot silently drift from the canonical module."""
-    import repro.lap.policies as policies
-    import repro.lap.scheduler as shim
-    with pytest.warns(DeprecationWarning, match="repro.lap.scheduler"):
-        shim = importlib.reload(shim)
-    assert shim.__all__, "the shim must re-export a public API"
-    for name in shim.__all__:
-        assert getattr(shim, name) is getattr(policies, name), \
-            f"shim re-export '{name}' drifted from repro.lap.policies"
-    # Nothing public beyond __all__ sneaks in (drift in the other direction).
-    public = {name for name in vars(shim)
-              if not name.startswith("_")
-              and name not in ("annotations", "warnings")}
-    assert public == set(shim.__all__)
 
 
 # ------------------------------------------------------------- runner golden
@@ -440,15 +424,13 @@ def test_lap_runtime_rows_match_memory_golden():
 # ------------------------------------------------- two-level hierarchy
 class TestLocalStore:
     def test_validation(self):
-        from repro.lap.memory import LocalStore
         with pytest.raises(ValueError):
-            LocalStore(0, 512)
+            FastLocalStore(0, 512)
         with pytest.raises(ValueError):
-            LocalStore(1024, 0)
+            FastLocalStore(1024, 0)
 
     def test_fill_hit_and_invalidate(self):
-        from repro.lap.memory import LocalStore
-        store = LocalStore(capacity_bytes=2 * 512, tile_bytes=512)
+        store = FastLocalStore(capacity_bytes=2 * 512, tile_bytes=512)
         assert store.touch([("A", (0, 0))]) == 512          # cold fill
         assert store.touch([("A", (0, 0))]) == 0            # hit
         assert store.resident_footprint_bytes([("A", (0, 0))]) == 512
@@ -458,8 +440,7 @@ class TestLocalStore:
         assert store.touch([("A", (0, 0))]) == 512          # re-fill
 
     def test_lru_eviction_and_pinning(self):
-        from repro.lap.memory import LocalStore
-        store = LocalStore(capacity_bytes=2 * 512, tile_bytes=512)
+        store = FastLocalStore(capacity_bytes=2 * 512, tile_bytes=512)
         store.touch([("A", (0, 0)), ("A", (0, 1))])
         store.touch([("A", (0, 2))])                        # evicts (0, 0)
         assert not store.is_resident(("A", (0, 0)))
@@ -471,7 +452,8 @@ class TestLocalStore:
 
     def test_hierarchy_classifies_local_shared_and_c2c(self):
         lap = LinearAlgebraProcessor(LAPConfig(num_cores=2, nr=4))
-        hierarchy = MemoryHierarchy.for_chip(lap, tile=8, local_store_kb=4.0)
+        hierarchy = ReferenceMemoryHierarchy.for_chip(lap, tile=8,
+                                                      local_store_kb=4.0)
         gemm = TaskDescriptor(0, TaskKind.GEMM, output=(0, 0),
                               inputs=[(0, 1), (1, 0)])
         tile_bytes = hierarchy.residency.tile_bytes
@@ -493,7 +475,8 @@ class TestLocalStore:
 
     def test_write_invalidates_sibling_copies(self):
         lap = LinearAlgebraProcessor(LAPConfig(num_cores=2, nr=4))
-        hierarchy = MemoryHierarchy.for_chip(lap, tile=8, local_store_kb=4.0)
+        hierarchy = ReferenceMemoryHierarchy.for_chip(lap, tile=8,
+                                                      local_store_kb=4.0)
         task = TaskDescriptor(0, TaskKind.CHOLESKY, output=(0, 0))
         hierarchy.account(task, core_index=0)
         hierarchy.account(task, core_index=1)   # copies (0, 0) to core 1...
@@ -506,9 +489,8 @@ class TestLocalStore:
         any core's local store."""
         lap = LinearAlgebraProcessor(LAPConfig(num_cores=1, nr=4))
         tile_kb = 0.5                            # 8x8 doubles
-        hierarchy = MemoryHierarchy.for_chip(lap, tile=8,
-                                             on_chip_kb=2 * tile_kb,
-                                             local_store_kb=8.0)
+        hierarchy = ReferenceMemoryHierarchy.for_chip(
+            lap, tile=8, on_chip_kb=2 * tile_kb, local_store_kb=8.0)
         tasks = [TaskDescriptor(i, TaskKind.CHOLESKY, output=(i, i))
                  for i in range(3)]
         for task in tasks:
@@ -520,7 +502,8 @@ class TestLocalStore:
 
     def test_account_validates_core_index(self):
         lap = LinearAlgebraProcessor(LAPConfig(num_cores=2, nr=4))
-        hierarchy = MemoryHierarchy.for_chip(lap, tile=8, local_store_kb=4.0)
+        hierarchy = ReferenceMemoryHierarchy.for_chip(lap, tile=8,
+                                                      local_store_kb=4.0)
         task = TaskDescriptor(0, TaskKind.CHOLESKY, output=(0, 0))
         with pytest.raises(ValueError, match="core index"):
             hierarchy.account(task, core_index=2)

@@ -125,11 +125,13 @@ def test_runtime_detects_circular_dependencies(lap):
 
 
 def test_runtime_detects_unsatisfiable_dependency(lap):
-    """A dependency on a task id that is not in the graph can never clear."""
+    """A dependency on a task id that is not in the graph can never clear:
+    execute() wraps the plain list in a TaskGraph, which refuses it before
+    any task runs."""
     runtime = LAPRuntime(lap, 8)
     orphan = TaskDescriptor(0, TaskKind.GEMM, output=(0, 0),
                             inputs=[(0, 0), (0, 0)], depends_on=[99])
-    with pytest.raises(RuntimeError, match="deadlock"):
+    with pytest.raises(ValueError, match="depends on unknown task id 99"):
         runtime.execute([orphan], {"A": {}, "B": {}, "C": {}})
 
 

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
-from repro.lap.policies import (POLICIES, CriticalPathPriority, get_policy,
-                                policy_names)
+from repro.lap.policies import (POLICIES, CriticalPathPriority, SchedulerPolicy,
+                                get_policy, policy_names)
 from repro.lap.runtime import LAPRuntime
 from repro.lap.taskgraph import (AlgorithmsByBlocks, TaskDescriptor, TaskGraph,
                                  TaskKind)
@@ -221,6 +221,22 @@ class TestPolicies:
         assert get_policy(instance) is instance
         with pytest.raises(ValueError, match="unknown scheduling policy"):
             get_policy("random")
+
+    def test_policy_subclass_instances_are_rejected(self):
+        """The scheduler loop inlines the stock policies, so a subclass's
+        overridden hooks could never run: get_policy refuses it (as does
+        the runtime constructor) and names the stock classes."""
+        class Reversed(CriticalPathPriority):
+            def priority(self, task, ready_time):
+                return (-ready_time,)
+
+        for policy in (Reversed(), SchedulerPolicy()):
+            with pytest.raises(TypeError) as err:
+                get_policy(policy)
+            for cls in POLICIES.values():
+                assert cls.__name__ in str(err.value)
+            with pytest.raises(TypeError, match=type(policy).__name__):
+                make_runtime(policy=policy)
 
     @pytest.mark.parametrize("policy", sorted(POLICIES))
     @pytest.mark.parametrize("workload,n,tile", [
