@@ -52,9 +52,8 @@ def _fanout_path(directory: pathlib.Path, key: str) -> pathlib.Path:
 def _read_fanout_entry(directory: pathlib.Path, key: str) -> Optional[dict]:
     """Raw JSON payload stored under ``key``, or ``None`` (best effort).
 
-    Refreshes the entry's mtime on a hit so key-addressed reads (the HTTP
-    tier) keep hot entries alive under LRU eviction exactly like job-keyed
-    reads do; corrupt entries are dropped so the next write can replace
+    Refreshes the entry's mtime on a hit so hot entries survive LRU
+    eviction; corrupt entries are dropped so the next write can replace
     them.
     """
     path = _fanout_path(directory, key)
@@ -89,7 +88,7 @@ def _write_fanout_entry(directory: pathlib.Path, key: str,
         return None
     try:
         with os.fdopen(fd, "w") as handle:
-            json.dump(dict(payload), handle, default=str)
+            json.dump(dict(payload), handle)
         os.replace(tmp_name, path)
     except (OSError, TypeError, ValueError):
         try:
@@ -98,6 +97,7 @@ def _write_fanout_entry(directory: pathlib.Path, key: str,
             pass
         return None
     return path
+
 
 #: Environment variable holding the default cache size budget in megabytes.
 CACHE_MAX_MB_ENV = "REPRO_CACHE_MAX_MB"
@@ -207,61 +207,17 @@ class SidecarStore:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def path_for(self, kind: str, material: str) -> pathlib.Path:
-        key = self.key_for(kind, material)
-        return self.directory / key[:2] / f"{key}.json"
+        return _fanout_path(self.directory, self.key_for(kind, material))
 
     def get(self, kind: str, material: str) -> Optional[dict]:
         """The stored payload, or ``None`` on miss/corruption (best effort)."""
-        path = self.path_for(kind, material)
-        try:
-            with path.open("r") as handle:
-                payload = json.load(handle)
-            if not isinstance(payload, dict):
-                raise TypeError("sidecar payload must be a dict")
-        except FileNotFoundError:
-            return None
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError, TypeError):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        try:
-            # Refresh recency so hot schedules survive LRU eviction.
-            os.utime(path, None)
-        except OSError:
-            pass
-        return payload
+        return _read_fanout_entry(self.directory, self.key_for(kind, material))
 
     def put(self, kind: str, material: str,
             payload: Mapping) -> Optional[pathlib.Path]:
         """Atomically store a payload; returns ``None`` when unwritable."""
-        path = self.path_for(kind, material)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        except OSError:
-            return None
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(dict(payload), handle)
-            os.replace(tmp_name, path)
-        except (OSError, TypeError, ValueError):
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            return None
-        self._account_put(path)
-        return path
-
-    def get_by_key(self, key: str) -> Optional[dict]:
-        """Raw record payload under a content key (HTTP-tier access)."""
-        return _read_fanout_entry(self.directory, key)
-
-    def put_by_key(self, key: str, payload: Mapping) -> Optional[pathlib.Path]:
-        """Store a raw record payload under a content key (best effort)."""
-        path = _write_fanout_entry(self.directory, key, payload)
+        path = _write_fanout_entry(self.directory,
+                                   self.key_for(kind, material), payload)
         if path is not None:
             self._account_put(path)
         return path

@@ -10,14 +10,6 @@ hashable :class:`Job` bound to a named runner (see
 Jobs hash stably: two jobs with the same runner and the same parameters
 (regardless of insertion order) share the same ``key``, which is what the
 result cache and the executor use to identify work.
-
-Specs serialise: :meth:`SweepSpec.to_payload` renders the constants, grid
-axes and zip groups as a schema-tagged JSON document and
-:meth:`SweepSpec.from_payload` rebuilds an equivalent spec, so a sweep can
-be submitted to a remote design-space service (``POST /sweeps`` on
-``repro serve``) exactly as it would run locally.  Filter predicates are
-arbitrary callables and therefore refuse to serialise — apply filters
-client-side or express the constraint through the axes.
 """
 
 from __future__ import annotations
@@ -33,11 +25,6 @@ from typing import (Callable, Dict, Iterator, List, Mapping, Optional, Sequence,
 #: hashed, cached on disk and shipped to worker processes.
 ParamValue = Union[int, float, str, bool, None]
 Params = Dict[str, ParamValue]
-
-#: Schema identifier stamped into serialised sweep specs (bump on layout
-#: changes); :meth:`SweepSpec.from_payload` rejects unknown schemas so a
-#: version-skewed client/server pair fails loudly instead of mis-expanding.
-SPEC_SCHEMA = "repro.engine.sweep_spec/v1"
 
 
 def _check_value(name: str, value: object) -> ParamValue:
@@ -230,60 +217,6 @@ class SweepSpec:
     def jobs(self, runner: str) -> List[Job]:
         """Wrap every point into a :class:`Job` bound to ``runner``."""
         return list(self.iter_jobs(runner))
-
-    # --------------------------------------------------------- serialisation
-    def to_payload(self) -> Dict[str, object]:
-        """Schema-tagged JSON document describing this spec.
-
-        Round-trips through :meth:`from_payload`: the rebuilt spec expands
-        to exactly the same parameter points in the same order.  Filter
-        predicates are arbitrary callables and cannot be serialised, so a
-        filtered spec raises ``ValueError`` — expand it locally or fold the
-        constraint into the axes before submitting it to a service.
-        """
-        if self._filters:
-            raise ValueError(
-                "a SweepSpec with filter() predicates cannot be serialised; "
-                "apply filters client-side or encode the constraint in the "
-                "grid/zip axes")
-        return {
-            "schema": SPEC_SCHEMA,
-            "constants": dict(self._constants),
-            "grid": [[name, list(values)] for name, values in self._grid_axes],
-            "zip": [[[name, list(values)] for name, values in group]
-                    for group in self._zip_groups],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "SweepSpec":
-        """Rebuild a spec serialised by :meth:`to_payload` (validating)."""
-        if not isinstance(payload, Mapping):
-            raise TypeError("sweep spec payload must be a mapping")
-        schema = payload.get("schema")
-        if schema != SPEC_SCHEMA:
-            raise ValueError(f"unknown sweep spec schema {schema!r} "
-                             f"(expected '{SPEC_SCHEMA}')")
-        spec = cls()
-        constants = payload.get("constants") or {}
-        if not isinstance(constants, Mapping):
-            raise TypeError("sweep spec 'constants' must be a mapping")
-        if constants:
-            spec = spec.constants(**constants)
-        for entry in payload.get("grid") or ():
-            try:
-                name, values = entry
-            except (TypeError, ValueError):
-                raise ValueError("sweep spec 'grid' entries must be "
-                                 "[name, values] pairs") from None
-            spec = spec.grid(**{str(name): list(values)})
-        for group in payload.get("zip") or ():
-            try:
-                axes = {str(name): list(values) for name, values in group}
-            except (TypeError, ValueError):
-                raise ValueError("sweep spec 'zip' groups must be lists of "
-                                 "[name, values] pairs") from None
-            spec = spec.zip(**axes)
-        return spec
 
     def __len__(self) -> int:
         return len(self.expand())

@@ -121,11 +121,6 @@ class CriticalPathPriority(SchedulerPolicy):
             graph = TaskGraph(list(graph))
         self._rank = graph.critical_path_lengths()
 
-    @property
-    def ranks(self) -> Dict[int, float]:
-        """Critical-path rank per task id (filled by :meth:`prepare`)."""
-        return self._rank
-
     def priority(self, task: TaskDescriptor, ready_time: float) -> Tuple:
         # Longest chain first; among equal ranks fall back to greedy order.
         return (-self._rank.get(task.task_id, 0.0), ready_time)
@@ -209,18 +204,17 @@ class MemoryAware(LocalityAware):
         return (missing, ready_time)
 
     def bulk_priorities(self, arrays, memory, indices: Sequence[int],
-                        ready_times: Sequence,
-                        assigned_cores=None):
+                        ready_times: Sequence):
         """Vectorized :meth:`priority` over many candidate tasks at once.
 
         ``arrays`` is the graph's :class:`repro.lap.fastpath.GraphArrays`,
-        ``indices`` graph positions (not task ids), ``ready_times`` the
-        per-candidate ready times (entering the key tuples unchanged), and
-        ``assigned_cores`` the per-candidate local-store index of the
-        two-level tie-break term (``None`` = core 0 for every candidate,
-        the pre-ownership default of :meth:`_assigned_core`).  Footprints
-        are gathered into one flat CSR batch and scored by the residency
-        classes' batch kernels; the returned key tuples are
+        ``indices`` graph positions (not task ids) and ``ready_times`` the
+        per-candidate ready times (entering the key tuples unchanged).  The
+        two-level tie-break term is scored against core 0's local store,
+        the default of :meth:`_assigned_core` before any output tile has an
+        owner (the scheduler calls this once, on the initial ready set).
+        Footprints are gathered into one flat CSR batch and scored by the
+        residency classes' batch kernels; the returned key tuples are
         element-for-element equal to the scalar :meth:`priority` keys
         (plain Python ints, same ordering semantics).
         """
@@ -244,15 +238,7 @@ class MemoryAware(LocalityAware):
         stores = getattr(memory, "local_stores", None)
         if stores is None:
             return [(int(m), r) for m, r in zip(missing, ready_times)]
-        if assigned_cores is None:
-            local = stores[0].missing_bytes_batch(sub_indptr, flat)
-        else:
-            cores_arr = np.asarray(assigned_cores, dtype=np.int64)
-            local = np.zeros(len(idx), dtype=np.int64)
-            for ci in sorted(set(int(c) for c in cores_arr)):
-                vals = stores[ci].missing_bytes_batch(sub_indptr, flat)
-                mask = cores_arr == ci
-                local[mask] = vals[mask]
+        local = stores[0].missing_bytes_batch(sub_indptr, flat)
         return [(int(m), int(lo), r)
                 for m, lo, r in zip(missing, local, ready_times)]
 

@@ -1,11 +1,12 @@
-"""Design-space service: shared network cache + sweep submission.
+"""Design-space service: a shared network tier of the result cache.
 
 ``repro.serve`` turns one host's content-addressed result cache into a
-shared fleet resource:
+store that every ``repro sweep --server`` client reads and writes, so a
+design point one client has run is never run again by another:
 
 * :class:`ServeDaemon` -- the stdlib :mod:`http.server` daemon behind the
   ``repro serve`` CLI verb, exposing a :class:`~repro.engine.cache.ResultCache`
-  (and its replay sidecar) over HTTP plus a submit/poll sweep API;
+  over HTTP (ping, key-addressed entry get/put, stats);
 * :class:`ServeClient` -- the JSON-over-HTTP client with per-request
   timeouts and jittered-backoff retries;
 * :class:`RemoteCache` -- a read-through / write-behind cache tier

@@ -546,12 +546,6 @@ def test_cache_stats_reports_lifetime_counters(tmp_path, capsys):
 
 
 # ------------------------------------------------------------------- serve
-def test_sweep_submit_requires_server(capsys):
-    assert main(["sweep", "--runner", "design", "--set", "nr=4",
-                 "--grid", "cores=2,4", "--submit"]) == 2
-    assert "--submit needs --server" in capsys.readouterr().err
-
-
 def test_sweep_server_without_local_tier_warns_and_runs(capsys):
     assert main(["sweep", "--runner", "design", "--set", "nr=4",
                  "--grid", "cores=2,4", "--mode", "serial", "--no-cache",
@@ -585,22 +579,5 @@ def test_sweep_against_live_server_deduplicates(tmp_path, capsys):
         assert second["executed"] == 0
         assert second["cached"] == 2
         assert json.dumps(second["rows"]) == json.dumps(first["rows"])
-
-        # --submit runs the sweep on the daemon itself.
-        assert main(["sweep", "--runner", "design", "--set", "nr=4",
-                     "--grid", "cores=2,4", "--server", daemon.url,
-                     "--submit", "--json", "-"]) == 0
-        submitted = json.loads(capsys.readouterr().out)
-        assert submitted["cached"] == 2
-        assert json.dumps(submitted["rows"]) == json.dumps(first["rows"])
     finally:
         daemon.stop()
-
-
-def test_sweep_submit_against_dead_server_fails_cleanly(tmp_path, capsys):
-    assert main(["sweep", "--runner", "design", "--set", "nr=4",
-                 "--grid", "cores=2,4", "--server", "http://127.0.0.1:1",
-                 "--submit"]) == 2
-    err = capsys.readouterr().err
-    assert "sweep submission failed" in err
-    assert "without --submit" in err

@@ -867,46 +867,6 @@ def test_serial_and_parallel_sweeps_are_byte_identical(tmp_path):
         json.dumps(parallel.rows, sort_keys=True)
 
 
-# ------------------------------------------------------ spec serialisation
-class TestSpecSerialisation:
-    def test_round_trip_preserves_expansion(self):
-        spec = (SweepSpec().constants(nr=4, label="a")
-                .grid(cores=(2, 4), frequency_ghz=(1.0, 1.4))
-                .zip(a=(1, 2), b=(10, 20)))
-        rebuilt = SweepSpec.from_payload(spec.to_payload())
-        assert rebuilt.expand() == spec.expand()
-        # The payload itself is stable under a round trip (same axes, same
-        # order), so content-addressed submission is deterministic.
-        assert json.dumps(rebuilt.to_payload()) == json.dumps(spec.to_payload())
-
-    def test_payload_survives_json_round_trip(self):
-        spec = SweepSpec().constants(x=1.5).grid(a=(1, 2, 3))
-        wire = json.loads(json.dumps(spec.to_payload()))
-        assert SweepSpec.from_payload(wire).expand() == spec.expand()
-
-    def test_filters_refuse_to_serialise(self):
-        spec = SweepSpec().grid(a=(1, 2)).filter(lambda p: p["a"] == 1)
-        with pytest.raises(ValueError, match="filter"):
-            spec.to_payload()
-
-    def test_unknown_schema_rejected(self):
-        with pytest.raises(ValueError, match="schema"):
-            SweepSpec.from_payload({"schema": "nope"})
-        with pytest.raises(TypeError, match="mapping"):
-            SweepSpec.from_payload(["not", "a", "mapping"])
-
-    def test_malformed_sections_rejected(self):
-        from repro.engine.spec import SPEC_SCHEMA
-
-        base = {"schema": SPEC_SCHEMA}
-        with pytest.raises(TypeError, match="constants"):
-            SweepSpec.from_payload({**base, "constants": [1]})
-        with pytest.raises(ValueError, match="grid"):
-            SweepSpec.from_payload({**base, "grid": [["a"]]})
-        with pytest.raises(ValueError, match="zip"):
-            SweepSpec.from_payload({**base, "zip": [[["a"]]]})
-
-
 # ----------------------------------------------------- executor regressions
 class TestExecutorRegressions:
     def test_mixed_runner_cache_hits_get_per_runner_entries(self, tmp_path):

@@ -69,7 +69,8 @@ class TestDaemonEndpoints:
     def test_entry_survives_daemon_restart(self, tmp_path):
         directory = tmp_path / "server"
         key = params_key("design", {"cores": 2}, salt="v1")
-        payload = {"row": {"cores": 2}}
+        payload = {"runner": "design", "params": {"cores": 2},
+                   "code_version": "v1", "row": {"cores": 2}}
         daemon = ServeDaemon(directory, code_version="v1", quiet=True).start()
         try:
             _client(daemon).put_entry(key, payload)
@@ -102,13 +103,28 @@ class TestDaemonEndpoints:
                 "runner": "design", "params": {"cores": 4},
                 "code_version": "v1", "row": {"gflops": 1.0}})
 
-    def test_replay_roundtrip_by_key(self, daemon):
-        client = _client(daemon)
-        key = daemon.sidecar.key_for("schedule", "material")
-        assert client.get_replay(key) is None
-        client.put_replay(key, {"trace": [1, 2, 3]})
-        assert client.get_replay(key)["trace"] == [1, 2, 3]
-        assert daemon.counters["replay_puts"] == 1
+    @pytest.mark.parametrize("missing", ["runner", "params", "code_version"])
+    def test_incomplete_entry_cannot_poison_the_store(self, daemon, tmp_path,
+                                                      missing):
+        """An entry must name runner, params and code version to be stored.
+
+        Otherwise the key-integrity check has nothing to hash, and a forged
+        row under a real job's key would be served to every other client.
+        """
+        job = _design_jobs(cores=(4,), freqs=(1.0,))[0]
+        key = ResultCache(tmp_path / "probe").key_for(job)
+        forged = {"runner": job.runner, "params": job.params_dict,
+                  "code_version": daemon.cache.code_version,
+                  "row": {"gflops": 1e9}}
+        del forged[missing]
+        with pytest.raises(ServerUnavailable, match="HTTP 400"):
+            _client(daemon).put_entry(key, forged)
+        assert len(daemon.cache) == 0
+        fresh = RemoteCache(tmp_path / "fresh", daemon.url, timeout_s=5.0,
+                            retries=0)
+        result = execute_jobs([job], mode="serial", cache=fresh)
+        assert result.executed == 1
+        assert result.rows[0]["gflops"] != 1e9
 
     def test_stats_document(self, daemon):
         client = _client(daemon)
@@ -118,22 +134,15 @@ class TestDaemonEndpoints:
         assert stats["counters"]["requests"] >= 1
         assert stats["cache"]["directory"] == str(daemon.cache.directory)
 
-    def test_prune_endpoint(self, daemon):
-        client = _client(daemon)
-        for index in range(4):
-            key = params_key("design", {"i": index}, salt="v1")
-            client.put_entry(key, {"row": {"i": index}})
-            time.sleep(0.01)  # distinct mtimes for a stable LRU order
-        outcome = client.prune(max_entries=1)
-        assert outcome["removed"] == 3
-        assert outcome["entries"] == 1
-
-    def test_prune_without_limits_rejected(self, daemon):
-        with pytest.raises(ServerUnavailable, match="HTTP 400"):
-            _client(daemon).prune()
-
-    def test_unknown_path_is_a_miss(self, daemon):
-        assert _client(daemon)._request("GET", "/nope") is None
+    @pytest.mark.parametrize("method, path", [
+        ("GET", "/nope"),
+        ("POST", "/sweeps"),
+        ("GET", "/sweeps/sweep-1/status"),
+        ("GET", "/replay/" + "0" * 64),
+        ("POST", "/prune"),
+    ])
+    def test_unknown_path_is_a_miss(self, daemon, method, path):
+        assert _client(daemon)._request(method, path) is None
 
 
 # ----------------------------------------------------------------- client
@@ -323,84 +332,3 @@ class TestRemoteCache:
         assert stats["server"] == daemon.url
         assert stats["tier"] == "local+remote"
         assert stats["remote_hit_rate"] == 0.0
-
-
-# ------------------------------------------------------------ sweep service
-class TestSweepService:
-    def test_submit_and_stream_rows(self, daemon, tmp_path):
-        spec = SweepSpec().constants(nr=4).grid(cores=(2, 4),
-                                                frequency_ghz=(1.0, 1.4))
-        jobs = spec.jobs("design")
-        reference = execute_jobs(jobs, mode="serial",
-                                 cache=ResultCache(tmp_path / "ref"))
-        client = _client(daemon)
-        sweep_id = client.submit_sweep(spec.to_payload(), "design",
-                                       mode="serial")
-        rows = [None] * len(jobs)
-        end = None
-        for event in client.iter_sweep_rows(sweep_id):
-            if event["event"] == "row":
-                assert event["runner"] == "design"
-                rows[event["index"]] = event["row"]
-            else:
-                end = event
-        assert end["state"] == "done"
-        assert end["summary"]["jobs"] == len(jobs)
-        assert json.dumps(rows) == json.dumps(reference.rows)
-        status = client.sweep_status(sweep_id)
-        assert status["state"] == "done"
-        assert status["rows_done"] == len(jobs)
-
-    def test_stream_offset_resumes_mid_sweep(self, daemon):
-        spec = SweepSpec().constants(nr=4).grid(cores=(2, 4, 6, 8))
-        client = _client(daemon)
-        sweep_id = client.submit_sweep(spec.to_payload(), "design",
-                                       mode="serial")
-        events = list(client.iter_sweep_rows(sweep_id, start=2))
-        indices = [e["index"] for e in events if e["event"] == "row"]
-        assert indices == [2, 3]
-
-    def test_submitted_sweep_hits_the_shared_cache(self, daemon, tmp_path):
-        spec = SweepSpec().constants(nr=4).grid(cores=(2, 4))
-        jobs = spec.jobs("design")
-        warm = RemoteCache(tmp_path / "a", daemon.url, timeout_s=5.0,
-                           retries=0)
-        execute_jobs(jobs, mode="serial", cache=warm)
-        client = _client(daemon)
-        sweep_id = client.submit_sweep(spec.to_payload(), "design",
-                                       mode="serial")
-        events = list(client.iter_sweep_rows(sweep_id))
-        assert all(e["cached"] for e in events if e["event"] == "row")
-
-    def test_unknown_runner_rejected(self, daemon):
-        spec = SweepSpec().grid(a=(1, 2))
-        with pytest.raises(ServerUnavailable, match="unknown runner"):
-            _client(daemon).submit_sweep(spec.to_payload(), "warp-drive")
-
-    def test_bad_spec_schema_rejected(self, daemon):
-        with pytest.raises(ServerUnavailable, match="bad sweep spec"):
-            _client(daemon).submit_sweep({"schema": "nope"}, "design")
-
-    def test_empty_job_list_rejected(self, daemon):
-        with pytest.raises(ValueError, match="no jobs"):
-            daemon.submit("design", [], "serial")
-
-    def test_unknown_sweep_id(self, daemon):
-        client = _client(daemon)
-        with pytest.raises(ServerUnavailable, match="unknown sweep id"):
-            client.sweep_status("sweep-999")
-        with pytest.raises(ServerUnavailable, match="unknown sweep id"):
-            list(client.iter_sweep_rows("sweep-999"))
-
-    def test_failed_sweep_reports_error(self, daemon):
-        # Unbuildable design point: the runner raises inside the run
-        # thread, which must surface as a failed state, not a hang.
-        spec = SweepSpec().constants(nr=4, kernel="gemm", size=-8)
-        client = _client(daemon)
-        sweep_id = client.submit_sweep(spec.to_payload(), "simulate",
-                                       mode="serial")
-        events = list(client.iter_sweep_rows(sweep_id))
-        end = events[-1]
-        assert end["event"] == "end"
-        assert end["state"] == "failed"
-        assert "ValueError" in end["error"]
