@@ -4,7 +4,8 @@ These are true pytest-benchmark measurements of the Python simulator running
 the kernels the dissertation's own simulator was used to verify (GEMM, TRSM,
 Cholesky; Sec. 1.3), plus the simulator-vs-analytical-model cross check.
 They double as ablation benches: GEMM with and without operand prefetching
-accounting, and TRSM inner-kernel variants.
+accounting, and TRSM inner-kernel variants.  ``test_lac_warmup_record``
+records what one LAC warm-up per task signature costs a cold sweep point.
 """
 
 import time
@@ -17,6 +18,8 @@ from repro.kernels.fft import lac_fft
 from repro.kernels.gemm import lac_gemm
 from repro.kernels.trsm import lac_trsm
 from repro.lac.core import LACConfig, LinearAlgebraCore
+from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
+from repro.lap.runtime import LAPRuntime
 from repro.models.core_model import CoreGEMMModel
 from repro.reference import ref_cholesky, ref_trsm
 
@@ -132,3 +135,56 @@ def test_simulated_gemm_8x8_core(benchmark):
     result = benchmark(run)
     np.testing.assert_allclose(result.output, c + a @ b, rtol=1e-12)
     assert result.num_pes == 64
+
+
+#: Warm-up cycles of the 13 task signatures a cold 1024^2 sweep point at
+#: tile 64 on ``nr = 4`` cores warms across the four algorithms-by-blocks:
+#: (kind, tile shapes, precision, unit alpha, transposed B) -> cycles.
+TILE64_WARMUP_CYCLES = {
+    ("chol", ((64, 64),), "double", True, False): 12432,
+    ("trsm_rt", ((64, 64), (64, 64)), "double", True, False): 11904,
+    ("syrk", ((64, 64), (64, 64)), "double", False, True): 20480,
+    ("gemm", ((64, 64), (64, 64), (64, 64)), "double", False, True): 20480,
+    ("lu", ((64, 64),), "double", True, False): 19948,
+    ("trsm_ll", ((64, 64), (64, 64)), "double", True, False): 11904,
+    ("trsm_ru", ((64, 64), (64, 64)), "double", True, False): 11904,
+    ("gemm", ((64, 64), (64, 64), (64, 64)), "double", False, False): 20480,
+    ("geqrt", ((64, 64),), "double", True, False): 19385,
+    ("unmqr", ((64, 64), (64, 64)), "double", True, False): 17262,
+    ("tsqrt", ((64, 64), (64, 64)), "double", True, False): 37152,
+    ("tsmqr", ((64, 64), (64, 64), (64, 64)), "double", True, False): 50048,
+    ("gemm", ((64, 64), (64, 64), (64, 64)), "double", True, False): 20480,
+}
+
+
+def test_lac_warmup_record(bench_json):
+    """Per-signature LAC warm-up seconds and cycles of a cold sweep point.
+
+    Runs each algorithm at n = 1024, tile 64 under memoized timing -- the
+    points of the benchmark's ``cold_grid`` workload -- and records, for
+    every signature, the wall time of its one functional warm-up and the
+    cycles it charged.  Only the cycles are asserted; the seconds are the
+    record.
+    """
+    rows = []
+    for algorithm in ("cholesky", "lu", "qr", "gemm"):
+        lap = LinearAlgebraProcessor(LAPConfig(num_cores=4, nr=4, onchip_memory_mbytes=1.0))
+        runtime = LAPRuntime(lap, 64, timing="memoized")
+        getattr(runtime, f"run_blocked_{algorithm}")(1024, np.random.default_rng(0),
+                                                      verify=False)
+        timing = runtime.timing
+        for signature, cycles in timing.cycles_by_signature.items():
+            kind, shapes, precision, unit_alpha, transpose_b = signature
+            rows.append({"algorithm": algorithm, "kind": kind, "shapes": shapes,
+                         "precision": precision, "unit_alpha": unit_alpha,
+                         "transpose_b": transpose_b, "cycles": cycles,
+                         "warmup_s": timing.warm_seconds_by_signature[signature]})
+    cycles = {(r["kind"], r["shapes"], r["precision"], r["unit_alpha"], r["transpose_b"]):
+              r["cycles"] for r in rows}
+    assert len(rows) == len(cycles) == 13
+    assert cycles == TILE64_WARMUP_CYCLES
+    bench_json("lac_warmups", {
+        "n": 1024, "tile": 64, "nr": 4,
+        "signatures": rows,
+        "total_warmup_s": sum(r["warmup_s"] for r in rows),
+    })

@@ -31,7 +31,7 @@ from repro.kernels.cholesky import lac_cholesky
 from repro.kernels.common import KernelResult, check_divisible, counters_delta
 from repro.kernels.gemm import lac_rank1_sequence
 from repro.kernels.lu import lac_lu_panel
-from repro.kernels.qr import lac_householder_qr_panel
+from repro.kernels.qr import apply_householder, lac_householder_qr_panel
 from repro.kernels.trsm import lac_trsm_unblocked
 from repro.lac.core import LinearAlgebraCore
 
@@ -150,20 +150,7 @@ def lac_qr_blocked(core: LinearAlgebraCore, a: np.ndarray,
                     continue
                 col = j + local
                 u = np.concatenate(([1.0], a[col + 1:, col]))
-                trailing = a[col:, j + nr:]
-                w = np.zeros(trailing.shape[1], dtype=float)
-                for c in range(trailing.shape[1]):
-                    acc = 0.0
-                    for r in range(trailing.shape[0]):
-                        acc = core.pes[r % nr][c % nr].multiply_add(u[r], trailing[r, c], acc)
-                    w[c] = acc / tau
-                core.tick(int(np.ceil(trailing.size / float(nr * nr))) + core.mac_latency)
-                for r in range(trailing.shape[0]):
-                    for c in range(trailing.shape[1]):
-                        trailing[r, c] = core.pes[r % nr][c % nr].multiply_add(
-                            -u[r], w[c], trailing[r, c])
-                core.tick(int(np.ceil(trailing.size / float(nr * nr))) + core.mac_latency)
-                a[col:, j + nr:] = trailing
+                apply_householder(core, u, tau, a[col:, j + nr:])
 
     delta = counters_delta(core.counters, start)
     return KernelResult(name="qr_blocked", output=a, counters=delta, num_pes=core.num_pes,

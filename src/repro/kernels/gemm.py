@@ -61,13 +61,12 @@ def lac_rank1_sequence(core: LinearAlgebraCore, c_block: np.ndarray,
 
     kc = a_slice.shape[1]
     core.load_c_accumulators(c_block)
-    for p in range(kc):
-        core.rank1_update_step(a_slice[:, p], b_slice[p, :])
-        # One read of A from the owning PEs' MEM A to drive the row buses.
-        core.counters.store_a_reads += nr
-        if count_b_reads:
-            # Every PE reads its replicated copy of beta_{p,j} from MEM B.
-            core.counters.store_b_reads += nr * nr
+    core.rank1_updates(a_slice, b_slice)
+    # Each step reads A from the owning PEs' MEM A to drive the row buses.
+    core.counters.store_a_reads += nr * kc
+    if count_b_reads:
+        # Every PE reads its replicated copy of beta_{p,j} from MEM B.
+        core.counters.store_b_reads += nr * nr * kc
     return core.store_c_accumulators()
 
 

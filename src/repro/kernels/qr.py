@@ -121,6 +121,24 @@ def lac_householder_vector(core: LinearAlgebraCore, x: np.ndarray,
     return float(rho1), u2, float(tau1)
 
 
+def apply_householder(core: LinearAlgebraCore, u: np.ndarray, tau: float,
+                      c: np.ndarray) -> None:
+    """Apply ``H = I - u u^T / tau`` to ``c`` in place through the MAC mesh.
+
+    The matrix-vector product ``w = (u^T C) / tau`` runs every column's
+    multiply-add chain ``acc = u[r] * C[r, c] + acc`` (from zero) one row at
+    a time; the rank-1 update ``C -= u w^T`` is ``(-u[r]) * w[c] + C[r, c]``
+    per element.  Each phase charges one MAC per element of ``c`` and
+    ``ceil(size / nr^2) + mac_latency`` cycles.
+    """
+    acc = np.zeros(c.shape[1])
+    for u_r, c_r in zip(u, c):
+        acc = u_r * c_r + acc
+    np.add(np.multiply.outer(-u, acc / tau), c, out=c)
+    core.counters.mac_ops += 2 * c.size
+    core.tick(2 * (int(np.ceil(c.size / float(core.nr * core.nr))) + core.mac_latency))
+
+
 def lac_householder_qr_panel(core: LinearAlgebraCore, a_panel: np.ndarray,
                              use_exponent_extension: bool = True) -> KernelResult:
     """Householder QR of a ``k x nr`` panel on the LAC.
@@ -137,7 +155,6 @@ def lac_householder_qr_panel(core: LinearAlgebraCore, a_panel: np.ndarray,
         raise ValueError(f"panel must be k x nr with nr={nr}, got {a.shape}")
     if k < nr:
         raise ValueError("panel must have at least nr rows")
-    p = core.mac_latency
 
     core.distribute_a(a)
     taus: List[float] = []
@@ -151,22 +168,8 @@ def lac_householder_qr_panel(core: LinearAlgebraCore, a_panel: np.ndarray,
         u = np.concatenate(([1.0], u2))
         # Apply H = I - u u^T / tau to the trailing columns: w = (u^T A)/tau,
         # A -= u w^T -- a matrix-vector product plus a rank-1 update.
-        trailing = a[j:, j + 1:]
-        if trailing.size:
-            w = np.zeros(trailing.shape[1], dtype=float)
-            for c in range(trailing.shape[1]):
-                acc = 0.0
-                for r in range(trailing.shape[0]):
-                    acc = core.pes[r % nr][(j + 1 + c) % nr].multiply_add(
-                        u[r], trailing[r, c], acc)
-                w[c] = acc / tau
-            core.tick(int(np.ceil(trailing.size / float(nr * nr))) + p)
-            for r in range(trailing.shape[0]):
-                for c in range(trailing.shape[1]):
-                    trailing[r, c] = core.pes[r % nr][(j + 1 + c) % nr].multiply_add(
-                        -u[r], w[c], trailing[r, c])
-            core.tick(int(np.ceil(trailing.size / float(nr * nr))) + p)
-            a[j:, j + 1:] = trailing
+        if j + 1 < nr:
+            apply_householder(core, u, tau, a[j:, j + 1:])
         # Store rho on the diagonal and the essential reflector below it.
         a[j, j] = rho
         a[j + 1:, j] = u2
@@ -191,8 +194,6 @@ def lac_apply_reflectors(core: LinearAlgebraCore, v: np.ndarray,
     start = core.counters.copy()
     v = np.asarray(v, dtype=float)
     c = np.array(c, dtype=float, copy=True)
-    nr = core.nr
-    p = core.mac_latency
     if v.ndim != 2 or c.ndim != 2:
         raise ValueError("reflector block and C must be 2-D")
     m, num_reflectors = v.shape
@@ -202,25 +203,12 @@ def lac_apply_reflectors(core: LinearAlgebraCore, v: np.ndarray,
     if len(taus) != num_reflectors:
         raise ValueError(f"expected {num_reflectors} tau scalars, got {len(taus)}")
 
-    q = c.shape[1]
     for j in range(num_reflectors):
         tau = taus[j]
         if not np.isfinite(tau):
             continue
         u = np.concatenate(([1.0], v[j + 1:, j]))
-        rows = m - j
-        w = np.zeros(q, dtype=float)
-        for col in range(q):
-            acc = 0.0
-            for r in range(rows):
-                acc = core.pes[r % nr][col % nr].multiply_add(u[r], c[j + r, col], acc)
-            w[col] = acc / tau
-        core.tick(int(np.ceil(rows * q / float(nr * nr))) + p)
-        for r in range(rows):
-            for col in range(q):
-                c[j + r, col] = core.pes[r % nr][col % nr].multiply_add(
-                    -u[r], w[col], c[j + r, col])
-        core.tick(int(np.ceil(rows * q / float(nr * nr))) + p)
+        apply_householder(core, u, tau, c[j:])
 
     delta = counters_delta(core.counters, start)
     return KernelResult(name="apply_reflectors", output=c, counters=delta,

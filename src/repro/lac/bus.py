@@ -85,6 +85,13 @@ class RowColumnBuses:
         for c, v in enumerate(values):
             self.drive_column(c, v)
 
+    def check_idle(self) -> None:
+        """Raise ``RuntimeError`` if any bus is still driven in this step."""
+        for kind, values in (("row", self._row_values), ("column", self._col_values)):
+            for index, value in enumerate(values):
+                if value is not None:
+                    raise RuntimeError(f"{kind} bus {index} already driven this step")
+
     def row_is_driven(self, row: int) -> bool:
         """Whether row bus ``row`` currently carries a value."""
         self._check_index(row)

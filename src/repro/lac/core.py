@@ -9,8 +9,9 @@ in :mod:`repro.kernels` compose:
   stores (``alpha[i, p]`` lives in PE ``(i mod nr, p mod nr)``; the panel of
   ``B`` is replicated down the PE columns),
 * preloading of ``C`` into the MAC accumulators and streaming it back out,
-* the single-cycle rank-1 update step (column of ``A`` on the row buses, row
-  of ``B`` on the column buses, one MAC per PE),
+* the rank-1 update engine (column of ``A`` on the row buses, row of ``B``
+  on the column buses, one MAC per PE per cycle; ``kc`` steps run as one
+  NumPy pass with the per-PE rounding order),
 * diagonal-PE transposition (used by SYRK),
 * row/column broadcasts and reductions for the factorization kernels,
 * special function operations (reciprocal, square root, inverse square root)
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -166,51 +167,74 @@ class LinearAlgebraCore:
         c = np.asarray(c, dtype=float)
         if c.shape != (self.nr, self.nr):
             raise ValueError(f"C block must be {self.nr} x {self.nr}, got {c.shape}")
-        for i in range(self.nr):
-            for j in range(self.nr):
-                self.pes[i][j].set_accumulator(c[i, j], accumulator)
-        self.counters.external_loads += self.nr * self.nr
+        self._check_accumulator(accumulator)
+        for row, values in zip(self.pes, c.tolist()):
+            for pe, value in zip(row, values):
+                pe.accumulator[accumulator] = value
+        self.counters.accumulator_writes += self.num_pes
+        self.counters.external_loads += self.num_pes
         self.tick(self.nr)  # nr columns buses move nr words/cycle
 
     def store_c_accumulators(self, accumulator: int = 0) -> np.ndarray:
         """Stream the ``nr x nr`` block of C out of the accumulators."""
-        out = np.empty((self.nr, self.nr), dtype=float)
-        for i in range(self.nr):
-            for j in range(self.nr):
-                out[i, j] = self.pes[i][j].get_accumulator(accumulator)
-        self.counters.external_stores += self.nr * self.nr
+        self._check_accumulator(accumulator)
+        out = np.array([[pe.accumulator[accumulator] for pe in row] for row in self.pes])
+        self.counters.accumulator_reads += self.num_pes
+        self.counters.external_stores += self.num_pes
         self.tick(self.nr)
         return out
 
+    def _check_accumulator(self, index: int) -> None:
+        ProcessingElement._check_address(index, self.config.pe.accumulators, "accumulator")
+
     # -------------------------------------------------------- rank-1 engine
     def rank1_update_step(self, a_column: Sequence[float], b_row: Sequence[float],
-                          accumulator: int = 0, count_store_reads: bool = True) -> None:
+                          accumulator: int = 0) -> None:
         """One rank-1 update: C += a_column * b_row, one MAC per PE, one cycle.
 
         ``a_column`` (length nr) is driven onto the row buses by the root
-        column; ``b_row`` (length nr) is driven onto the column buses by the
-        root row (or read from the replicated local copies of B -- in that
-        case the column broadcast is skipped by the caller via
-        ``count_store_reads``).
+        column and ``b_row`` (length nr) onto the column buses by the root
+        row; this is :meth:`rank1_updates` with ``kc = 1``.
         """
-        if len(a_column) != self.nr or len(b_row) != self.nr:
-            raise ValueError("rank-1 operands must have length nr")
-        self.buses.broadcast_row_vector(list(a_column))
-        self.buses.broadcast_column_vector(list(b_row))
-        for i in range(self.nr):
-            alpha = self.buses.read_row(i)
-            for j in range(self.nr):
-                beta = self.buses.read_column(j)
-                pe = self.pes[i][j]
-                pe.latch_row_bus(alpha)
-                pe.latch_column_bus(beta)
-                pe.mac(alpha, beta, accumulator)
-                if count_store_reads:
-                    # The root PEs read A/B out of their local stores to drive
-                    # the buses; non-root PEs read B from their replicated copy.
-                    self.counters.store_b_reads += 0  # replicated-B reads counted by kernels
-        self.buses.clear()
-        self.tick(1)
+        self.rank1_updates(np.reshape(a_column, (-1, 1)), np.reshape(b_row, (1, -1)),
+                           accumulator)
+
+    def rank1_updates(self, a_slice: np.ndarray, b_slice: np.ndarray,
+                      accumulator: int = 0) -> None:
+        """``kc`` rank-1 updates ``C += a_slice @ b_slice``, one per cycle.
+
+        Step ``p`` drives column ``p`` of the ``nr x kc`` A slice onto the
+        row buses and row ``p`` of the ``kc x nr`` B slice onto the column
+        buses; every PE issues one MAC into ``accumulator`` and latches both
+        values.  One NumPy pass keeps the per-PE rounding order: each product
+        is rounded, then added to the running sum (``np.add.accumulate`` is
+        sequential).  Mis-shaped slices (``ValueError``), a driven bus
+        (``RuntimeError``) or a bad accumulator (``IndexError``) are rejected
+        before any state changes.
+        """
+        nr = self.nr
+        a = np.asarray(a_slice, dtype=float)
+        b = np.asarray(b_slice, dtype=float)
+        if a.ndim != 2 or b.ndim != 2 or a.shape[0] != nr or b.shape != (a.shape[1], nr):
+            raise ValueError("rank-1 operands must be an nr x kc slice of A and a "
+                             "kc x nr slice of B (length nr for one step)")
+        self.buses.check_idle()
+        self._check_accumulator(accumulator)
+        kc = a.shape[1]
+        if kc == 0:
+            return
+        steps = np.empty((kc + 1, nr, nr))
+        steps[0] = [[pe.accumulator[accumulator] for pe in row] for row in self.pes]
+        np.multiply(a.T[:, :, None], b[:, None, :], out=steps[1:])
+        final = np.add.accumulate(steps, axis=0)[-1].tolist()
+        for row, totals, alpha in zip(self.pes, final, a[:, -1].tolist()):
+            for pe, total, beta in zip(row, totals, b[-1].tolist()):
+                pe.accumulator[accumulator] = total
+                pe.row_bus_in, pe.column_bus_in = alpha, beta
+        self.counters.row_broadcasts += nr * kc
+        self.counters.column_broadcasts += nr * kc
+        self.counters.mac_ops += nr * nr * kc
+        self.tick(kc)
 
     def drain_pipeline(self) -> None:
         """Charge the MAC pipeline drain latency after a dependent sequence."""

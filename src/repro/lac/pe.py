@@ -66,8 +66,8 @@ class ProcessingElement:
     """One PE of the LAC mesh.
 
     The PE exposes small, architecturally meaningful operations (read/write a
-    store word, perform a MAC into an accumulator, drive or latch a bus
-    value); the core's controller sequences them.  All accesses are counted
+    store word, perform a MAC into an accumulator) and its bus latches; the
+    core's controller sequences them.  All accesses are counted
     in the ``counters`` object shared with the owning core.
     """
 
@@ -156,15 +156,6 @@ class ProcessingElement:
         """A fused multiply-add not targeting the accumulator: a*b + c."""
         self.counters.mac_ops += 1
         return float(a) * float(b) + float(c)
-
-    # ----------------------------------------------------------------- buses
-    def latch_row_bus(self, value: float) -> None:
-        """Capture a value broadcast on the PE's row bus."""
-        self.row_bus_in = float(value)
-
-    def latch_column_bus(self, value: float) -> None:
-        """Capture a value broadcast on the PE's column bus."""
-        self.column_bus_in = float(value)
 
     # --------------------------------------------------------------- helpers
     @staticmethod

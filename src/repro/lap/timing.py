@@ -126,7 +126,8 @@ class MemoizedTiming(TimingModel):
     name = "memoized"
 
     def __init__(self) -> None:
-        self._cycles: Dict[TaskSignature, int] = {}
+        #: Cycle count of the warm-up run per signature.
+        self.cycles_by_signature: Dict[TaskSignature, int] = {}
         #: Wall-clock seconds of the warm-up run per signature.
         self.warm_seconds_by_signature: Dict[TaskSignature, float] = {}
         #: Tasks charged per signature since construction / reset_stats().
@@ -176,12 +177,12 @@ class MemoizedTiming(TimingModel):
     def task_cycles(self, task: TaskDescriptor, ctx, verify: bool) -> int:
         signature = ctx.signature(task)
         self.task_counts[signature] = self.task_counts.get(signature, 0) + 1
-        cached = self._cycles.get(signature)
+        cached = self.cycles_by_signature.get(signature)
         if cached is None:
             started = time.perf_counter()
             cycles = ctx.functional(task)
             self.warm_seconds_by_signature[signature] = time.perf_counter() - started
-            self._cycles[signature] = cycles
+            self.cycles_by_signature[signature] = cycles
             self.warm_runs += 1
             return cycles
         self.hits += 1

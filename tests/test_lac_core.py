@@ -83,6 +83,73 @@ def test_rank1_operand_length_checked(core):
         core.rank1_update_step([1.0, 2.0], [1.0, 2.0, 3.0, 4.0])
 
 
+def test_rank1_updates_run_kc_steps_in_closed_form(core):
+    core.load_c_accumulators(np.ones((4, 4)))
+    before = core.counters.copy()
+    a = np.arange(12, dtype=float).reshape(4, 3)
+    b = np.arange(12, dtype=float).reshape(3, 4)
+    core.rank1_updates(a, b)
+    np.testing.assert_array_equal(core.store_c_accumulators(), 1.0 + a @ b)
+    assert core.counters.cycles - before.cycles == 3 + core.nr  # 3 steps + stream-out
+    assert core.counters.mac_ops - before.mac_ops == 16 * 3
+    assert core.counters.row_broadcasts - before.row_broadcasts == 4 * 3
+    assert core.counters.column_broadcasts - before.column_broadcasts == 4 * 3
+    # The latches hold the last step's operands; the buses are released.
+    assert core.pe(2, 1).row_bus_in == a[2, -1]
+    assert core.pe(2, 1).column_bus_in == b[-1, 1]
+    assert not any(core.buses.row_is_driven(i) for i in range(4))
+
+
+def _rank1_state(core):
+    return (core.counters.as_dict(),
+            [(list(pe.accumulator), pe.row_bus_in, pe.column_bus_in)
+             for row in core.pes for pe in row])
+
+
+REJECTED_RANK1_CALLS = {
+    "row bus driven": (lambda core: core.buses.drive_row(2, 1.0), RuntimeError,
+                       "row bus 2 already driven", {}),
+    "column bus driven": (lambda core: core.buses.drive_column(0, 1.0), RuntimeError,
+                          "column bus 0 already driven", {}),
+    "accumulator too large": (lambda core: None, IndexError, "accumulator address 4",
+                              {"accumulator": 4}),
+    "negative accumulator": (lambda core: None, IndexError, "accumulator address -1",
+                             {"accumulator": -1}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_RANK1_CALLS))
+@pytest.mark.parametrize("bulk", [True, False], ids=["rank1_updates", "rank1_update_step"])
+def test_rejected_rank1_call_leaves_core_untouched(core, case, bulk):
+    prepare, error, message, kwargs = REJECTED_RANK1_CALLS[case]
+    core.load_c_accumulators(np.full((4, 4), 3.0))
+    core.rank1_update_step([1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0])
+    prepare(core)
+    before = _rank1_state(core)
+    with pytest.raises(error, match=message):
+        if bulk:
+            core.rank1_updates(np.ones((4, 5)), np.ones((5, 4)), **kwargs)
+        else:
+            core.rank1_update_step([1.0] * 4, [1.0] * 4, **kwargs)
+    assert _rank1_state(core) == before
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((4, 3), (2, 4)),   # kc mismatch
+    ((3, 2), (2, 4)),   # A slice is not nr rows
+    ((4, 2), (2, 3)),   # B slice is not nr columns
+    ((4,), (1, 4)),     # A slice is not 2-D
+])
+def test_rank1_updates_length_mismatch_leaves_core_untouched(core, a_shape, b_shape):
+    core.load_c_accumulators(np.full((4, 4), 3.0))
+    before = _rank1_state(core)
+    with pytest.raises(ValueError, match="rank-1 operands"):
+        core.rank1_updates(np.ones(a_shape), np.ones(b_shape))
+    with pytest.raises(ValueError, match="rank-1 operands must"):
+        core.rank1_update_step([1.0] * 4, [1.0] * 3)
+    assert _rank1_state(core) == before
+
+
 def test_transpose_via_diagonal(core):
     values = [1.0, 2.0, 3.0, 4.0]
     out = core.transpose_via_diagonal(values)

@@ -171,3 +171,23 @@ def test_tile_and_untile_round_trip(rng):
         LAPRuntime.tile_matrix(rng.random((10, 8)), 8)
     with pytest.raises(ValueError):
         LAPRuntime.untile_matrix({}, 8)
+
+
+@pytest.mark.parametrize("algorithm", ["gemm", "cholesky", "lu", "qr"])
+def test_memoized_kernel_cycles_do_not_depend_on_the_data(algorithm):
+    """The LAC cycles of a task are a function of its signature alone.
+
+    A cycle table shared across sweep points (or persisted) is only sound if
+    the warm-up of a signature charges the same cycles whatever operand data
+    it happens to run on; the seeds here pick that data.
+    """
+    tables = []
+    for seed in (0, 1, 2):
+        lap = LinearAlgebraProcessor(LAPConfig(num_cores=4, nr=4, onchip_memory_mbytes=1.0))
+        runtime = LAPRuntime(lap, 64, timing="memoized")
+        getattr(runtime, f"run_blocked_{algorithm}")(256, np.random.default_rng(seed),
+                                                      verify=False)
+        tables.append(runtime.timing.cycles_by_signature)
+    assert tables[0]
+    assert tables[1] == tables[0]
+    assert tables[2] == tables[0]
