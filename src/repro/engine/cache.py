@@ -14,7 +14,10 @@ Recency is tracked through entry mtimes, which ``get()`` refreshes on the
 first hit per process (repeat hits skip the metadata write), so hot sweep
 results survive while abandoned design points age out.
 ``prune()`` applies the same policy explicitly (also by entry count), and
-the ``repro cache`` CLI sub-command exposes stats/clear/prune.
+the ``repro cache`` CLI sub-command exposes stats/clear/prune.  The replay
+:class:`SidecarStore` under ``<directory>/replay/`` is the same kind of
+store (one base class: budget, LRU, size, clear, lifetime counters) with
+its own budget and counters.
 """
 
 from __future__ import annotations
@@ -120,13 +123,11 @@ _REFRESHED_KEYS_MAX = 65536
 #: full prune scan on every subsequent write.
 _LOW_WATER_FRACTION = 0.9
 
-#: Sidecar file (in the cache root, outside the ``??/`` entry fan-out)
-#: accumulating hit/miss/eviction counters across cache instances, so
-#: ``repro cache stats`` can report lifetime hit-rates after the sweeps
-#: that produced them have exited.
+#: File (in a store's root, outside the ``??/`` entry fan-out)
+#: accumulating its counters across instances, so ``repro cache stats`` can
+#: report lifetime hit-rates and evictions after the sweeps that produced
+#: them have exited.
 _STATS_FILENAME = "_stats.json"
-
-_COUNTER_KEYS = ("hits", "misses", "evictions")
 
 #: Lock file taken while merging ``_stats.json`` so concurrent writers (many
 #: streaming sweeps sharing one cache directory) never interleave their
@@ -154,12 +155,240 @@ _STATS_READ_ATTEMPTS = 3
 _SIDECAR_DIRNAME = "replay"
 
 
-class SidecarStore:
+class _FanoutStore:
+    """An LRU-bounded fan-out of JSON entries with lifetime counters.
+
+    The shared mechanics of :class:`ResultCache` and :class:`SidecarStore`:
+    entries live in two-level fan-out dirs under ``directory`` (the
+    ``??/*.json`` glob below), ``max_bytes`` bounds them by least-recent
+    mtime, and the counters named in ``_COUNTER_KEYS`` fold into a locked
+    ``_stats.json`` in the store root so they outlive the instance.
+    """
+
+    #: Instance counters persisted by :meth:`persist_stats`.
+    _COUNTER_KEYS: Tuple[str, ...] = ("evictions",)
+
+    def __init__(self, directory: PathLike, code_version: str,
+                 max_bytes: Optional[int]) -> None:
+        if max_bytes is not None and max_bytes < 1:
+            raise ValueError("max_bytes must be positive (or None for unlimited)")
+        self.directory = pathlib.Path(directory).expanduser()
+        self.code_version = code_version
+        self.max_bytes = max_bytes
+        self.evictions = 0
+        self._approx_bytes: Optional[int] = None
+        self._puts_since_enforce = 0
+        #: Counter values already folded into the on-disk lifetime stats
+        #: (so repeated ``persist_stats()`` calls never double-count).
+        self._persisted = {key: 0 for key in self._COUNTER_KEYS}
+
+    # ---------------------------------------------------------- management
+    def _entry_paths(self) -> Iterator[pathlib.Path]:
+        return self.directory.glob("??/*.json")
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self._entry_paths())
+
+    def size_bytes(self) -> int:
+        """Total on-disk size of all entries (all code versions)."""
+        total = 0
+        for path in self._entry_paths():
+            try:
+                total += path.stat().st_size
+            except OSError:
+                pass
+        return total
+
+    def clear(self) -> int:
+        """Remove every entry (all code versions); returns the count removed."""
+        removed = 0
+        for path in list(self._entry_paths()):
+            try:
+                path.unlink()
+                removed += 1
+            except OSError:
+                pass
+        self._approx_bytes = 0
+        return removed
+
+    def _account_put(self, path: pathlib.Path) -> None:
+        """Track the approximate store size and enforce the LRU budget."""
+        if self.max_bytes is None:
+            return
+        try:
+            entry_bytes = path.stat().st_size
+        except OSError:
+            entry_bytes = 0
+        if self._approx_bytes is None:
+            self._approx_bytes = self.size_bytes()
+        else:
+            self._approx_bytes += entry_bytes
+        self._puts_since_enforce += 1
+        if self._puts_since_enforce >= _ENFORCE_EVERY_PUTS:
+            # Resync periodically: concurrent writers / external deletions
+            # drift the running estimate.
+            self._puts_since_enforce = 0
+            self._approx_bytes = self.size_bytes()
+        if self._approx_bytes > self.max_bytes:
+            # Evict to the low-water mark, not to the exact budget: a store
+            # hovering at max_bytes would otherwise pay a full prune scan on
+            # every subsequent put.
+            self.prune(max_bytes=max(1, int(self.max_bytes * _LOW_WATER_FRACTION)))
+
+    def prune(self, max_bytes: Optional[int] = None,
+              max_entries: Optional[int] = None) -> int:
+        """Evict least-recently-used entries until the store fits the limits.
+
+        ``max_bytes`` defaults to the instance budget (``self.max_bytes``);
+        ``max_entries`` additionally caps the entry count.  Entries of every
+        code version compete in one LRU order -- a stale-version entry is
+        never refreshed by ``get()``, so stale entries age out first.
+        Returns the number of entries removed and folds it into the
+        lifetime counters, so short-lived instances still report their
+        prunes.
+        """
+        max_bytes = max_bytes if max_bytes is not None else self.max_bytes
+        if max_bytes is None and max_entries is None:
+            return 0
+        entries: List[Tuple[float, int, pathlib.Path]] = []
+        for path in self._entry_paths():
+            try:
+                stat = path.stat()
+            except OSError:
+                continue
+            entries.append((stat.st_mtime, stat.st_size, path))
+        entries.sort(key=lambda item: (item[0], str(item[2])))
+        total_bytes = sum(size for _, size, _ in entries)
+        total_entries = len(entries)
+        removed = 0
+        for _, size, path in entries:
+            over_bytes = max_bytes is not None and total_bytes > max_bytes
+            over_count = max_entries is not None and total_entries > max_entries
+            if not over_bytes and not over_count:
+                break
+            try:
+                path.unlink()
+            except OSError:
+                continue
+            total_bytes -= size
+            total_entries -= 1
+            removed += 1
+        self.evictions += removed
+        self._approx_bytes = total_bytes
+        if removed:
+            self.persist_stats()
+        return removed
+
+    # ----------------------------------------------------------- telemetry
+    def _stats_path(self) -> pathlib.Path:
+        return self.directory / _STATS_FILENAME
+
+    def _read_lifetime(self) -> Dict[str, int]:
+        """The persisted lifetime counters (zeros when absent/corrupt).
+
+        Retries a few times on a torn read (decode error) before zeroing:
+        writers replace the file atomically on POSIX, but filesystems
+        without atomic rename can expose a half-written file briefly, and
+        zeroing on the first garbled read would silently discard the
+        lifetime history.
+        """
+        for attempt in range(_STATS_READ_ATTEMPTS):
+            try:
+                with self._stats_path().open("r") as handle:
+                    payload = json.load(handle)
+                return {key: int(payload.get(key, 0))
+                        for key in self._COUNTER_KEYS}
+            except FileNotFoundError:
+                break
+            except (OSError, json.JSONDecodeError, UnicodeDecodeError,
+                    TypeError, ValueError):
+                if attempt + 1 < _STATS_READ_ATTEMPTS:
+                    time.sleep(_STATS_LOCK_SLEEP_S)
+        return {key: 0 for key in self._COUNTER_KEYS}
+
+    def _stats_lock_path(self) -> pathlib.Path:
+        return self.directory / _STATS_LOCK_FILENAME
+
+    def _acquire_stats_lock(self) -> bool:
+        """Take the cross-process stats lock (O_EXCL create), best effort.
+
+        Returns ``False`` when the lock stayed contended through every
+        retry or the directory is unwritable -- callers then skip the merge
+        and leave the deltas for the next ``persist_stats()`` call.  A lock
+        file older than ``_STATS_LOCK_STALE_S`` is treated as leaked by a
+        crashed process and broken.
+        """
+        lock = self._stats_lock_path()
+        for attempt in range(_STATS_LOCK_ATTEMPTS):
+            try:
+                fd = os.open(str(lock), os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                os.close(fd)
+                return True
+            except FileExistsError:
+                try:
+                    if time.time() - lock.stat().st_mtime > _STATS_LOCK_STALE_S:
+                        lock.unlink()
+                        continue
+                except OSError:
+                    pass
+                time.sleep(_STATS_LOCK_SLEEP_S)
+            except OSError:
+                return False
+        return False
+
+    def _release_stats_lock(self) -> None:
+        try:
+            self._stats_lock_path().unlink()
+        except OSError:
+            pass
+
+    def persist_stats(self) -> None:
+        """Fold this instance's unpersisted counters into the lifetime stats.
+
+        Best effort (a read-only directory is not an error) and idempotent
+        -- already-persisted counts are never folded in twice.  The
+        read-modify-write cycle runs under a cross-process lock file so
+        concurrent writers (streaming sweeps persisting from many workers
+        at once) merge instead of overwriting each other; when the lock
+        cannot be taken the deltas simply stay pending for the next call.
+        """
+        deltas = {key: getattr(self, key) - self._persisted[key]
+                  for key in self._COUNTER_KEYS}
+        if not any(deltas.values()):
+            return
+        if not self._acquire_stats_lock():
+            return
+        try:
+            lifetime = self._read_lifetime()
+            for key, delta in deltas.items():
+                lifetime[key] += delta
+            try:
+                fd, tmp_name = tempfile.mkstemp(dir=str(self.directory),
+                                                suffix=".tmp")
+                with os.fdopen(fd, "w") as handle:
+                    json.dump(lifetime, handle)
+                os.replace(tmp_name, self._stats_path())
+            except OSError:
+                return
+            self._persisted = {key: getattr(self, key)
+                               for key in self._COUNTER_KEYS}
+        finally:
+            self._release_stats_lock()
+
+    def lifetime_stats(self) -> Dict[str, object]:
+        """Cross-process counters: persisted totals plus unpersisted deltas."""
+        lifetime = self._read_lifetime()
+        for key in self._COUNTER_KEYS:
+            lifetime[key] += getattr(self, key) - self._persisted[key]
+        return lifetime
+
+
+class SidecarStore(_FanoutStore):
     """Content-addressed JSON store for derived artifacts next to a cache.
 
     Where :class:`ResultCache` stores final result *rows*, the sidecar
     stores reusable *intermediates* -- today the
-    :class:`~repro.lap.fastpath.ScheduleTrace` replay records that let a
+    :class:`~repro.lap.fastpath.ScheduleTrace` replay headers that let a
     warm sweep point skip the scheduler loop entirely.  Keys hash a caller
     ``kind`` tag, an opaque ``material`` string (e.g. the canonicalised
     structural key of a schedule) and the cache's ``code_version``, so a
@@ -171,24 +400,19 @@ class SidecarStore:
     always be recomputed.  The store is picklable via :meth:`config` /
     :meth:`from_config` so executors can ship it to worker processes.
 
-    ``max_bytes`` bounds the store: writes beyond the budget evict the
-    least-recently-used records (reads refresh recency).  ``None`` (the
-    default) reads ``REPRO_REPLAY_MAX_MB`` from the environment; when that
-    is also unset the store grows without bound.  Evicting a record only
-    costs a re-simulation on the next matching sweep point, so the budget
-    trades disk for scheduler time.
+    ``max_bytes`` bounds the store like the result cache's budget.
+    ``None`` (the default) reads ``REPRO_REPLAY_MAX_MB`` from the
+    environment; when that is also unset the store grows without bound.
+    Evicting a record only costs a re-simulation on the next matching sweep
+    point, so the budget trades disk for scheduler time.  Lifetime
+    evictions persist in the sidecar root's own ``_stats.json``.
     """
 
     def __init__(self, directory: PathLike, code_version: str = "",
                  max_bytes: Optional[int] = None) -> None:
-        self.directory = pathlib.Path(directory).expanduser()
-        self.code_version = code_version
-        self.max_bytes = max_bytes if max_bytes is not None else env_replay_max_bytes()
-        if self.max_bytes is not None and self.max_bytes < 1:
-            raise ValueError("max_bytes must be positive (or None for unlimited)")
-        self.evictions = 0
-        self._approx_bytes: Optional[int] = None
-        self._puts_since_enforce = 0
+        super().__init__(directory, code_version,
+                         max_bytes if max_bytes is not None
+                         else env_replay_max_bytes())
 
     @classmethod
     def from_config(cls, config: Mapping) -> "SidecarStore":
@@ -221,119 +445,6 @@ class SidecarStore:
         if path is not None:
             self._account_put(path)
         return path
-
-    def _account_put(self, path: pathlib.Path) -> None:
-        """Track the approximate store size and enforce the LRU budget."""
-        if self.max_bytes is None:
-            return
-        try:
-            entry_bytes = path.stat().st_size
-        except OSError:
-            entry_bytes = 0
-        if self._approx_bytes is None:
-            self._approx_bytes = self.size_bytes()
-        else:
-            self._approx_bytes += entry_bytes
-        self._puts_since_enforce += 1
-        if self._puts_since_enforce >= _ENFORCE_EVERY_PUTS:
-            self._puts_since_enforce = 0
-            self._approx_bytes = self.size_bytes()
-        if self._approx_bytes > self.max_bytes:
-            # Evict to the low-water mark, like the result cache, so a
-            # store hovering at the budget does not pay a full prune scan
-            # on every subsequent put.
-            self.prune(max_bytes=max(1, int(self.max_bytes * _LOW_WATER_FRACTION)))
-
-    def prune(self, max_bytes: Optional[int] = None) -> int:
-        """Evict least-recently-used records until the store fits the budget.
-
-        ``max_bytes`` defaults to the instance budget; with neither set the
-        call is a no-op.  Returns the number of records removed, and folds
-        it into the persisted lifetime eviction counter (so short-lived
-        stores -- one is built per :meth:`ResultCache.sidecar` call --
-        still report their prunes in ``repro cache stats``).
-        """
-        max_bytes = max_bytes if max_bytes is not None else self.max_bytes
-        if max_bytes is None:
-            return 0
-        entries: List[Tuple[float, int, pathlib.Path]] = []
-        for path in self.directory.glob("??/*.json"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, stat.st_size, path))
-        entries.sort(key=lambda item: (item[0], str(item[2])))
-        total = sum(size for _, size, _ in entries)
-        removed = 0
-        for _, size, path in entries:
-            if total <= max_bytes:
-                break
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= size
-            removed += 1
-        self.evictions += removed
-        self._approx_bytes = total
-        if removed:
-            self._persist_evictions(removed)
-        return removed
-
-    def _evictions_path(self) -> pathlib.Path:
-        # Lives in the sidecar root, outside the ``??/`` record fan-out, so
-        # it is never itself evicted (or counted as an entry).
-        return self.directory / "_evictions.json"
-
-    def _persist_evictions(self, removed: int) -> None:
-        """Fold a prune's removal count into the lifetime counter file.
-
-        Best-effort read-modify-write: concurrent pruners may undercount,
-        which is acceptable for telemetry that only feeds ``cache stats``.
-        """
-        path = self._evictions_path()
-        try:
-            fd, tmp_name = tempfile.mkstemp(dir=str(self.directory),
-                                            suffix=".tmp")
-            with os.fdopen(fd, "w") as handle:
-                json.dump({"evictions": self.lifetime_evictions() + removed},
-                          handle)
-            os.replace(tmp_name, path)
-        except OSError:
-            pass
-
-    def lifetime_evictions(self) -> int:
-        """Records pruned from this directory across all store instances."""
-        try:
-            with self._evictions_path().open("r") as handle:
-                payload = json.load(handle)
-            return int(payload["evictions"])
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError,
-                KeyError, TypeError, ValueError):
-            return 0
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.directory.glob("??/*.json"))
-
-    def size_bytes(self) -> int:
-        total = 0
-        for path in self.directory.glob("??/*.json"):
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return total
-
-    def clear(self) -> int:
-        removed = 0
-        for path in list(self.directory.glob("??/*.json")):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
 
 
 def _env_budget_bytes(env_name: str, label: str) -> Optional[int]:
@@ -406,7 +517,7 @@ def default_code_version() -> str:
     return code_fingerprint()
 
 
-class ResultCache:
+class ResultCache(_FanoutStore):
     """Content-addressed store of one JSON row per executed job.
 
     Parameters
@@ -422,22 +533,17 @@ class ResultCache:
         or ``clear()`` calls remove entries.
     """
 
+    _COUNTER_KEYS = ("hits", "misses", "evictions")
+
     def __init__(self, directory: PathLike, code_version: Optional[str] = None,
                  max_bytes: Optional[int] = None) -> None:
-        self.directory = pathlib.Path(directory).expanduser()
+        super().__init__(directory,
+                         code_version if code_version is not None
+                         else default_code_version(),
+                         max_bytes if max_bytes is not None else env_max_bytes())
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.code_version = code_version if code_version is not None else default_code_version()
-        self.max_bytes = max_bytes if max_bytes is not None else env_max_bytes()
-        if self.max_bytes is not None and self.max_bytes < 1:
-            raise ValueError("max_bytes must be positive (or None for unlimited)")
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
-        self._approx_bytes: Optional[int] = None
-        self._puts_since_enforce = 0
-        #: Counter values already folded into the on-disk lifetime stats
-        #: (so repeated ``persist_stats()`` calls never double-count).
-        self._persisted = {key: 0 for key in _COUNTER_KEYS}
         #: Entry filenames whose mtime this process has already refreshed
         #: (bounded; cleared wholesale when full).
         self._refreshed: set = set()
@@ -531,30 +637,6 @@ class ResultCache:
         self._account_put(path)
         return path
 
-    def _account_put(self, path: pathlib.Path) -> None:
-        """Track the approximate store size and enforce the LRU budget."""
-        if self.max_bytes is None:
-            return
-        try:
-            entry_bytes = path.stat().st_size
-        except OSError:
-            entry_bytes = 0
-        if self._approx_bytes is None:
-            self._approx_bytes = self.size_bytes()
-        else:
-            self._approx_bytes += entry_bytes
-        self._puts_since_enforce += 1
-        if self._puts_since_enforce >= _ENFORCE_EVERY_PUTS:
-            # Resync periodically: concurrent writers / external deletions
-            # drift the running estimate.
-            self._puts_since_enforce = 0
-            self._approx_bytes = self.size_bytes()
-        if self._approx_bytes > self.max_bytes:
-            # Evict to the low-water mark, not to the exact budget: a store
-            # hovering at max_bytes would otherwise pay a full prune scan on
-            # every subsequent put.
-            self.prune(max_bytes=max(1, int(self.max_bytes * _LOW_WATER_FRACTION)))
-
     def __contains__(self, job: Job) -> bool:
         return self.path_for(job).is_file()
 
@@ -586,80 +668,6 @@ class ResultCache:
             self._account_put(path)
         return path
 
-    # ---------------------------------------------------------- management
-    def _entry_paths(self) -> Iterator[pathlib.Path]:
-        return self.directory.glob("??/*.json")
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self._entry_paths())
-
-    def size_bytes(self) -> int:
-        """Total on-disk size of all entries (all code versions)."""
-        total = 0
-        for path in self._entry_paths():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return total
-
-    def clear(self) -> int:
-        """Remove every entry (all code versions); returns the count removed."""
-        removed = 0
-        for path in list(self._entry_paths()):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        self._approx_bytes = 0
-        return removed
-
-    def _entries_oldest_first(self) -> List[Tuple[float, int, pathlib.Path]]:
-        """(mtime, size, path) of every entry, least recently used first."""
-        entries: List[Tuple[float, int, pathlib.Path]] = []
-        for path in self._entry_paths():
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, stat.st_size, path))
-        entries.sort(key=lambda item: (item[0], str(item[2])))
-        return entries
-
-    def prune(self, max_bytes: Optional[int] = None,
-              max_entries: Optional[int] = None) -> int:
-        """Evict least-recently-used entries until the store fits the limits.
-
-        ``max_bytes`` defaults to the instance budget (``self.max_bytes``);
-        ``max_entries`` additionally caps the entry count.  Entries of every
-        code version compete in one LRU order — a stale-version entry is
-        never refreshed by ``get()``, so stale results age out first.
-        Returns the number of entries removed.
-        """
-        max_bytes = max_bytes if max_bytes is not None else self.max_bytes
-        if max_bytes is None and max_entries is None:
-            return 0
-        entries = self._entries_oldest_first()
-        total_bytes = sum(size for _, size, _ in entries)
-        total_entries = len(entries)
-        removed = 0
-        for _, size, path in entries:
-            over_bytes = max_bytes is not None and total_bytes > max_bytes
-            over_count = max_entries is not None and total_entries > max_entries
-            if not over_bytes and not over_count:
-                break
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total_bytes -= size
-            total_entries -= 1
-            removed += 1
-        self.evictions += removed
-        self._approx_bytes = total_bytes
-        return removed
-
     # ----------------------------------------------------------- telemetry
     @property
     def hit_rate(self) -> float:
@@ -681,106 +689,13 @@ class ResultCache:
             "hit_rate": self.hit_rate,
         }
 
-    def _stats_path(self) -> pathlib.Path:
-        return self.directory / _STATS_FILENAME
-
-    def _read_lifetime(self) -> Dict[str, int]:
-        """The persisted lifetime counters (zeros when absent/corrupt).
-
-        Retries a few times on a torn read (decode error) before zeroing:
-        writers replace the file atomically on POSIX, but filesystems
-        without atomic rename can expose a half-written file briefly, and
-        zeroing on the first garbled read would silently discard the
-        lifetime history.
-        """
-        for attempt in range(_STATS_READ_ATTEMPTS):
-            try:
-                with self._stats_path().open("r") as handle:
-                    payload = json.load(handle)
-                return {key: int(payload.get(key, 0)) for key in _COUNTER_KEYS}
-            except FileNotFoundError:
-                break
-            except (OSError, json.JSONDecodeError, UnicodeDecodeError,
-                    TypeError, ValueError):
-                if attempt + 1 < _STATS_READ_ATTEMPTS:
-                    time.sleep(_STATS_LOCK_SLEEP_S)
-        return {key: 0 for key in _COUNTER_KEYS}
-
-    def _stats_lock_path(self) -> pathlib.Path:
-        return self.directory / _STATS_LOCK_FILENAME
-
-    def _acquire_stats_lock(self) -> bool:
-        """Take the cross-process stats lock (O_EXCL create), best effort.
-
-        Returns ``False`` when the lock stayed contended through every
-        retry or the directory is unwritable -- callers then skip the merge
-        and leave the deltas for the next ``persist_stats()`` call.  A lock
-        file older than ``_STATS_LOCK_STALE_S`` is treated as leaked by a
-        crashed process and broken.
-        """
-        lock = self._stats_lock_path()
-        for attempt in range(_STATS_LOCK_ATTEMPTS):
-            try:
-                fd = os.open(str(lock), os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.close(fd)
-                return True
-            except FileExistsError:
-                try:
-                    if time.time() - lock.stat().st_mtime > _STATS_LOCK_STALE_S:
-                        lock.unlink()
-                        continue
-                except OSError:
-                    pass
-                time.sleep(_STATS_LOCK_SLEEP_S)
-            except OSError:
-                return False
-        return False
-
-    def _release_stats_lock(self) -> None:
-        try:
-            self._stats_lock_path().unlink()
-        except OSError:
-            pass
-
-    def persist_stats(self) -> None:
-        """Fold this instance's unpersisted counters into the lifetime stats.
-
-        Best effort (a read-only cache directory is not an error): the
-        executor calls this after every run so ``repro cache stats`` can
-        report hit-rates across processes.  Idempotent -- already-persisted
-        counts are never folded in twice.  The read-modify-write cycle runs
-        under a cross-process lock file so concurrent writers (streaming
-        sweeps persisting from many workers at once) merge instead of
-        overwriting each other; when the lock cannot be taken the deltas
-        simply stay pending for the next call.
-        """
-        deltas = {key: getattr(self, key) - self._persisted[key]
-                  for key in _COUNTER_KEYS}
-        if not any(deltas.values()):
-            return
-        if not self._acquire_stats_lock():
-            return
-        try:
-            lifetime = self._read_lifetime()
-            for key, delta in deltas.items():
-                lifetime[key] += delta
-            try:
-                fd, tmp_name = tempfile.mkstemp(dir=str(self.directory),
-                                                suffix=".tmp")
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(lifetime, handle)
-                os.replace(tmp_name, self._stats_path())
-            except OSError:
-                return
-            self._persisted = {key: getattr(self, key) for key in _COUNTER_KEYS}
-        finally:
-            self._release_stats_lock()
-
     def lifetime_stats(self) -> Dict[str, object]:
-        """Cross-process counters: persisted totals plus unpersisted deltas."""
-        lifetime = self._read_lifetime()
-        for key in _COUNTER_KEYS:
-            lifetime[key] += getattr(self, key) - self._persisted[key]
+        """Cross-process counters (see :meth:`persist_stats`) plus hit rate.
+
+        The executor persists after every run, so ``repro cache stats`` can
+        report hit-rates across processes.
+        """
+        lifetime = super().lifetime_stats()
         total = lifetime["hits"] + lifetime["misses"]
         return {**lifetime,
                 "hit_rate": lifetime["hits"] / total if total else 0.0}
@@ -792,14 +707,6 @@ class ResultCache:
         counters; the ``lifetime`` block aggregates them across every
         process that has used the directory (see :meth:`persist_stats`).
         """
-        entries = 0
-        size_bytes = 0
-        for path in self._entry_paths():
-            try:
-                size_bytes += path.stat().st_size
-            except OSError:
-                continue
-            entries += 1
         sidecar = self.sidecar()
         return {
             "directory": str(self.directory),
@@ -809,11 +716,11 @@ class ResultCache:
             "evictions": self.evictions,
             "hit_rate": self.hit_rate,
             "lifetime": self.lifetime_stats(),
-            "entries": entries,
-            "size_bytes": size_bytes,
+            "entries": len(self),
+            "size_bytes": self.size_bytes(),
             "max_bytes": self.max_bytes,
             "sidecar": {"entries": len(sidecar),
                         "size_bytes": sidecar.size_bytes(),
                         "max_bytes": sidecar.max_bytes,
-                        "evictions": sidecar.lifetime_evictions()},
+                        "evictions": sidecar.lifetime_stats()["evictions"]},
         }

@@ -66,8 +66,8 @@ RUNNER_VERSIONS: Dict[str, int] = {
     # v6: chip-clock (frequency_ghz) and off-chip access-energy
     # (offchip_pj_per_byte) sweep axes with widened schedule replay
     # (per-task energy re-keying) and the writeback_bytes execution field.
-    # The fast param has since been retired (one scheduler loop, identical
-    # rows), which needs no bump.
+    # The fast and replay params have since been retired (one scheduler
+    # loop, replay always on; identical rows), which needs no bump.
     "lap_runtime": 6,
     "blocked_fact": 1,
     "experiment": 1,
@@ -98,8 +98,8 @@ KNOWN_PARAMS: Dict[str, frozenset] = {
                               "onchip_mbytes", "seed", "policy", "timing",
                               "verify", "core_frequencies_ghz", "memory",
                               "on_chip_kb", "bandwidth_gbs", "local_store_kb",
-                              "stall_overlap", "replay",
-                              "frequency_ghz", "offchip_pj_per_byte"}),
+                              "stall_overlap", "frequency_ghz",
+                              "offchip_pj_per_byte"}),
     "blocked_fact": frozenset({"method", "n", "nr", "seed", "use_extension",
                                "frequency_ghz"}),
     "experiment": frozenset({"exp_id"}),
@@ -541,8 +541,8 @@ def run_lap_runtime(params: Params) -> dict:
     existing rows stay byte-identical.
 
     Scheduling runs the one scheduler loop of :mod:`repro.lap.fastpath`
-    (see :meth:`repro.lap.runtime.LAPRuntime.execute`).  ``replay`` controls schedule-replay costing for delta
-    sweeps: under ``"auto"`` (the default) every simulated point records a
+    (see :meth:`repro.lap.runtime.LAPRuntime.execute`).  Delta sweeps are
+    costed by schedule replay: every simulated point records a
     :class:`repro.lap.fastpath.ScheduleTrace`, and a later point that
     differs only in constants which provably cannot change the schedule
     reuses the recorded row with the affected columns re-keyed:
@@ -552,11 +552,12 @@ def run_lap_runtime(params: Params) -> dict:
     rescales ``makespan_ns`` from the recorded cycle count, and a
     frequency or ``offchip_pj_per_byte`` delta re-keys ``energy_j`` /
     ``gflops_per_w`` from the trace's per-task energy triples; anything
-    else -- or ``replay="off"`` -- re-simulates.
+    else re-simulates.
     """
     import numpy as np
 
     from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
+    from repro.lap.fastpath import REPLAY_STATS
     from repro.lap.policies import GEMMScheduler
     from repro.lap.runtime import LAPRuntime
     from repro.lap.taskgraph import AlgorithmsByBlocks
@@ -591,10 +592,6 @@ def run_lap_runtime(params: Params) -> dict:
     offchip_pj = None if offchip_pj is None else float(offchip_pj)
     if offchip_pj is not None and offchip_pj < 0:
         raise ValueError("offchip_pj_per_byte must be non-negative")
-    replay = str(params.get("replay", "auto")).lower()
-    if replay not in ("auto", "off"):
-        raise ValueError(f"unknown replay mode '{replay}' "
-                         f"(use 'auto' or 'off')")
     frequencies_param = params.get("core_frequencies_ghz")
     if frequencies_param is None:
         frequencies = None
@@ -612,63 +609,60 @@ def run_lap_runtime(params: Params) -> dict:
                       policy, timing, verify, memory, on_chip_kb,
                       local_store_kb,
                       None if frequencies is None else tuple(frequencies))
-    if replay == "auto":
-        cached = _REPLAY_MEMO.get(structural_key)
-        if cached is None:
-            # Cross-process warm path: another worker (or an earlier run)
-            # may have published this schedule to the cache's replay sidecar.
-            cached = _load_replay_from_sidecar(structural_key)
-        if cached is not None:
-            from repro.lap.fastpath import REPLAY_STATS
-            trace, cached_row = cached
-            effective_bw = (None if not memory
-                            else (bandwidth_gbs if bandwidth_gbs is not None
-                                  else trace.default_bandwidth_gbs))
-            new_freq = 1.0 if frequency_ghz is None else frequency_ghz
-            new_homog = (frequencies is None
-                         or all(f == new_freq for f in frequencies))
-            new_epoff = (None if not memory
-                         else (offchip_pj * 1e-12 if offchip_pj is not None
-                               else trace.default_offchip_energy_per_byte_j))
-            if trace.exact_for(effective_bw,
-                               0.0 if stall_overlap is None else stall_overlap,
-                               frequency_ghz=new_freq,
-                               homogeneous_cores=new_homog,
-                               offchip_energy_per_byte_j=new_epoff):
-                REPLAY_STATS["replayed"] += 1
-                freq_delta = (trace.frequency_ghz is not None
-                              and new_freq != trace.frequency_ghz)
-                makespan_ns = (trace.makespan_cycles / new_freq
-                               if freq_delta else None)
-                energy_j = gflops_per_w = None
-                if memory and trace.energy_constants is not None:
-                    epf, epon, epoff = trace.energy_constants
-                    if freq_delta or new_epoff != epoff:
-                        if freq_delta:
-                            # The per-flop and per-on-chip-byte constants
-                            # follow the chip's operating point, so rebuild
-                            # them at the new clock before re-keying.
-                            from repro.lap.memory import TaskEnergyModel
-                            lap2 = LinearAlgebraProcessor(LAPConfig(
-                                num_cores=num_cores, nr=nr,
-                                onchip_memory_mbytes=onchip_mbytes,
-                                frequency_ghz=new_freq))
-                            em = TaskEnergyModel(lap2.config.fmac(),
-                                                 lap2.onchip_memory,
-                                                 lap2.offchip)
-                            epf = em.energy_per_flop_j
-                            epon = em.onchip_energy_per_byte_j
-                        energy_j = trace.rekey_energy_j(epf, epon, new_epoff)
-                        flops = float(cached_row["total_flops"])
-                        gflops_per_w = (flops / energy_j / 1e9
-                                        if energy_j > 0 else 0.0)
-                return _replayed_row(cached_row, stall_overlap, effective_bw,
-                                     memory, frequency_ghz=frequency_ghz,
-                                     offchip_pj_per_byte=offchip_pj,
-                                     makespan_ns=makespan_ns,
-                                     energy_j=energy_j,
-                                     gflops_per_w=gflops_per_w)
-            REPLAY_STATS["forced"] += 1
+    cached = _REPLAY_MEMO.get(structural_key)
+    if cached is None:
+        # Cross-process warm path: another worker (or an earlier run)
+        # may have published this schedule to the cache's replay sidecar.
+        cached = _load_replay_from_sidecar(structural_key)
+    if cached is not None:
+        trace, cached_row = cached
+        effective_bw = (None if not memory
+                        else (bandwidth_gbs if bandwidth_gbs is not None
+                              else trace.default_bandwidth_gbs))
+        new_freq = 1.0 if frequency_ghz is None else frequency_ghz
+        new_homog = (frequencies is None
+                     or all(f == new_freq for f in frequencies))
+        new_epoff = (None if not memory
+                     else (offchip_pj * 1e-12 if offchip_pj is not None
+                           else trace.default_offchip_energy_per_byte_j))
+        if trace.exact_for(effective_bw,
+                           0.0 if stall_overlap is None else stall_overlap,
+                           frequency_ghz=new_freq,
+                           homogeneous_cores=new_homog,
+                           offchip_energy_per_byte_j=new_epoff):
+            REPLAY_STATS["replayed"] += 1
+            freq_delta = new_freq != trace.frequency_ghz
+            makespan_ns = (trace.makespan_cycles / new_freq
+                           if freq_delta else None)
+            energy_j = gflops_per_w = None
+            if memory and trace.energy_constants is not None:
+                epf, epon, epoff = trace.energy_constants
+                if freq_delta or new_epoff != epoff:
+                    if freq_delta:
+                        # The per-flop and per-on-chip-byte constants follow
+                        # the chip's operating point, so rebuild them at the
+                        # new clock before re-keying.
+                        from repro.lap.memory import TaskEnergyModel
+                        lap2 = LinearAlgebraProcessor(LAPConfig(
+                            num_cores=num_cores, nr=nr,
+                            onchip_memory_mbytes=onchip_mbytes,
+                            frequency_ghz=new_freq))
+                        em = TaskEnergyModel(lap2.config.fmac(),
+                                             lap2.onchip_memory,
+                                             lap2.offchip)
+                        epf = em.energy_per_flop_j
+                        epon = em.onchip_energy_per_byte_j
+                    energy_j = trace.rekey_energy_j(epf, epon, new_epoff)
+                    flops = float(cached_row["total_flops"])
+                    gflops_per_w = (flops / energy_j / 1e9
+                                    if energy_j > 0 else 0.0)
+            return _replayed_row(cached_row, stall_overlap, effective_bw,
+                                 memory, frequency_ghz=frequency_ghz,
+                                 offchip_pj_per_byte=offchip_pj,
+                                 makespan_ns=makespan_ns,
+                                 energy_j=energy_j,
+                                 gflops_per_w=gflops_per_w)
+        REPLAY_STATS["forced"] += 1
     lap = LinearAlgebraProcessor(LAPConfig(
         num_cores=num_cores, nr=nr, onchip_memory_mbytes=onchip_mbytes,
         frequency_ghz=1.0 if frequency_ghz is None else frequency_ghz))
@@ -754,12 +748,10 @@ def run_lap_runtime(params: Params) -> dict:
                 "peak_local_resident_kb": (
                     float(stats["peak_local_resident_bytes"]) / 1024.0),
             })
-    if replay == "auto":
-        from repro.lap.fastpath import REPLAY_STATS
-        trace = runtime.schedule_trace()
-        _memoize_replay(structural_key, trace, dict(row))
-        REPLAY_STATS["recorded"] += 1
-        _store_replay_to_sidecar(structural_key, trace, dict(row))
+    trace = runtime.schedule_trace()
+    _memoize_replay(structural_key, trace, dict(row))
+    REPLAY_STATS["recorded"] += 1
+    _store_replay_to_sidecar(structural_key, trace, dict(row))
     return row
 
 

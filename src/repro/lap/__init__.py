@@ -13,20 +13,20 @@ off-chip memory interface.  This subpackage provides:
   owns a row panel of C; panels of B are broadcast to all cores);
 * :mod:`repro.lap.memory` -- the unified memory-hierarchy layer: LRU tile
   residency over the on-chip capacity, spill/refill accounting, bandwidth
-  stalls and per-task energy;
+  stalls and per-task energy, plus the closed-form off-chip traffic of a
+  streamed GEMM (:class:`OffChipTrafficModel`), including the extra
+  blocking layer used when C does not fit on chip;
 * :mod:`repro.lap.runtime` / :mod:`repro.lap.fastpath` -- the task-graph
-  runtime and its scheduler loop;
-* :mod:`repro.lap.offchip` -- traffic accounting for the external memory,
-  including the extra blocking layer used when C does not fit on chip.
+  runtime and its scheduler loop.
 """
 
 from repro.lap.chip import LinearAlgebraProcessor, LAPConfig
-from repro.lap.offchip import OffChipTrafficModel
 from repro.lap.taskgraph import (AlgorithmsByBlocks, TaskDescriptor, TaskGraph,
                                  TaskKind)
 from repro.lap.policies import (POLICIES, GEMMScheduler, PanelAssignment,
                                 SchedulerPolicy, get_policy, policy_names)
-from repro.lap.memory import BandwidthModel, MemoryHierarchy, TaskEnergyModel
+from repro.lap.memory import (BandwidthModel, MemoryHierarchy,
+                              OffChipTrafficModel, TaskEnergyModel)
 from repro.lap.timing import (TIMING_MODELS, FunctionalTiming, MemoizedTiming,
                               TimingModel, get_timing_model, timing_names)
 from repro.lap.runtime import LAPRuntime, TaskExecution

@@ -25,11 +25,12 @@ microseconds per task, so the loop is built in three layers:
   Under memoized timing the per-signature cycle table collapses to a
   per-group lookup and the hit counters are reconciled in bulk.
 * **Schedule-replay costing** -- :class:`ScheduleTrace` records a finished
-  schedule (task -> core, start order, movement totals); when a sweep point
+  schedule's movement totals, clock and energy constants; when a sweep point
   differs from a recorded one only in constants that provably cannot change
   the dispatch order (off-chip bandwidth with zero spill traffic, prefetch
-  overlap with zero visible movement), the ``lap_runtime`` runner replays
-  the recorded costs instead of re-simulating.
+  overlap with zero visible movement, a homogeneous clock without spills,
+  energy constants), the ``lap_runtime`` runner replays the recorded costs
+  instead of re-simulating.
 
 Equivalence contract: the test suite keeps the straightforward formulation
 -- a reference event loop over policy hooks and ``OrderedDict`` residency
@@ -626,8 +627,7 @@ REPLAY_STATS: Dict[str, int] = {"recorded": 0, "replayed": 0, "forced": 0,
 class ScheduleTrace:
     """Recorded schedule of one ``execute()`` call, for delta-sweep replay.
 
-    Holds the dispatch outcome (task -> core, start order) plus the
-    aggregate movement totals that decide when a changed constant can be
+    Holds the scalar totals that decide when a changed constant can be
     replayed *exactly*: off-chip bandwidth only enters the schedule through
     spill stalls, and the prefetch-overlap fraction only through the
     visible part of ``stall + local transfer`` cycles, so a recorded
@@ -639,18 +639,17 @@ class ScheduleTrace:
     dispatch at all -- a delta there re-keys the recorded per-task
     ``(flops, onchip_bytes, offchip_bytes)`` triples instead of
     re-simulating.  Anything else forces a re-simulation;
-    :data:`REPLAY_STATS` counts both outcomes.
+    :data:`REPLAY_STATS` counts both outcomes.  The policy, timing model
+    and every other schedule-shaping parameter live in the replay memo's
+    structural key, not here.
     """
 
-    def __init__(self, policy: str, timing: str, stall_overlap: float,
+    def __init__(self, stall_overlap: float,
                  effective_bandwidth_gbs: Optional[float],
                  default_bandwidth_gbs: float,
                  total_spill_bytes: float, total_movement_cycles: float,
-                 task_ids: List[int], cores: List[int],
-                 starts: List[float], ends: List[float],
-                 num_tasks: Optional[int] = None,
                  makespan_cycles: float = 0.0,
-                 frequency_ghz: Optional[float] = 1.0,
+                 frequency_ghz: float = 1.0,
                  homogeneous_cores: bool = True,
                  energy_constants: Optional[Tuple[float, float, float]] = None,
                  default_offchip_energy_per_byte_j: float = 60e-12,
@@ -658,21 +657,13 @@ class ScheduleTrace:
                  energy_triples: Optional[List[Tuple[float, float,
                                                      float]]] = None,
                  energy_triples_thunk=None):
-        self.policy = policy
-        self.timing = timing
         self.stall_overlap = stall_overlap
         self.effective_bandwidth_gbs = effective_bandwidth_gbs
         self.default_bandwidth_gbs = default_bandwidth_gbs
         self.total_spill_bytes = total_spill_bytes
         self.total_movement_cycles = total_movement_cycles
-        self.task_ids = task_ids
-        self.cores = cores
-        self.starts = starts
-        self.ends = ends
-        self._num_tasks = num_tasks
         self.makespan_cycles = makespan_cycles
-        #: Chip clock the schedule was recorded at; ``None`` on headers
-        #: persisted before the field existed (rejects frequency deltas).
+        #: Chip clock the schedule was recorded at.
         self.frequency_ghz = frequency_ghz
         self.homogeneous_cores = homogeneous_cores
         #: ``(energy_per_flop_j, onchip_j_per_byte, offchip_j_per_byte)``
@@ -685,28 +676,19 @@ class ScheduleTrace:
         self._energy_triples = energy_triples
         self._triples_thunk = energy_triples_thunk
 
-    def __len__(self) -> int:
-        if self._num_tasks is not None:
-            return self._num_tasks
-        return len(self.task_ids)
-
     def to_payload(self) -> Dict[str, object]:
         """JSON-serialisable header for the cross-process replay sidecar.
 
         The exactness decision (:meth:`exact_for`) only needs the scalar
-        header, so the per-task dispatch arrays are deliberately dropped:
-        a sidecar record stays a few hundred bytes even for million-task
-        schedules.  The task count survives as ``num_tasks``.
+        header, so a sidecar record stays a few hundred bytes even for
+        million-task schedules; the per-task energy triples stay behind.
         """
         return {
-            "policy": self.policy,
-            "timing": self.timing,
             "stall_overlap": self.stall_overlap,
             "effective_bandwidth_gbs": self.effective_bandwidth_gbs,
             "default_bandwidth_gbs": self.default_bandwidth_gbs,
             "total_spill_bytes": self.total_spill_bytes,
             "total_movement_cycles": self.total_movement_cycles,
-            "num_tasks": len(self),
             "makespan_cycles": self.makespan_cycles,
             "frequency_ghz": self.frequency_ghz,
             "homogeneous_cores": self.homogeneous_cores,
@@ -719,37 +701,31 @@ class ScheduleTrace:
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "ScheduleTrace":
-        """Rebuild a (header-only) trace persisted by :meth:`to_payload`.
+        """Rebuild a header-only trace persisted by :meth:`to_payload`.
 
-        The per-task energy triples are never serialised, so a rebuilt
-        trace replays makespan/clock deltas but refuses any point that
-        would need an energy re-key (:meth:`exact_for` returns False and
-        the point re-simulates).  Missing scalar fields take conservative
-        defaults: unknown clock rejects frequency deltas outright.
+        Every field :meth:`to_payload` writes is required (a missing one
+        raises :class:`KeyError`).  The per-task energy triples are never
+        serialised, so a rebuilt trace replays makespan/clock deltas but
+        refuses any point that would need an energy re-key
+        (:meth:`exact_for` returns False and the point re-simulates).
         """
-        constants = payload.get("energy_constants")
+        bandwidth = payload["effective_bandwidth_gbs"]
+        constants = payload["energy_constants"]
         return cls(
-            policy=str(payload["policy"]),
-            timing=str(payload["timing"]),
             stall_overlap=float(payload["stall_overlap"]),
-            effective_bandwidth_gbs=(
-                None if payload.get("effective_bandwidth_gbs") is None
-                else float(payload["effective_bandwidth_gbs"])),
+            effective_bandwidth_gbs=(None if bandwidth is None
+                                     else float(bandwidth)),
             default_bandwidth_gbs=float(payload["default_bandwidth_gbs"]),
             total_spill_bytes=float(payload["total_spill_bytes"]),
             total_movement_cycles=float(payload["total_movement_cycles"]),
-            task_ids=[], cores=[], starts=[], ends=[],
-            num_tasks=int(payload["num_tasks"]),
-            makespan_cycles=float(payload.get("makespan_cycles", 0.0)),
-            frequency_ghz=(None if payload.get("frequency_ghz") is None
-                           else float(payload["frequency_ghz"])),
-            homogeneous_cores=bool(payload.get("homogeneous_cores", False)),
+            makespan_cycles=float(payload["makespan_cycles"]),
+            frequency_ghz=float(payload["frequency_ghz"]),
+            homogeneous_cores=bool(payload["homogeneous_cores"]),
             energy_constants=(None if constants is None
                               else tuple(float(v) for v in constants)),
             default_offchip_energy_per_byte_j=float(
-                payload.get("default_offchip_energy_per_byte_j", 60e-12)),
-            flush_writeback_bytes=float(
-                payload.get("flush_writeback_bytes", 0.0)),
+                payload["default_offchip_energy_per_byte_j"]),
+            flush_writeback_bytes=float(payload["flush_writeback_bytes"]),
         )
 
     # --------------------------------------------------- energy re-keying
@@ -830,9 +806,7 @@ class ScheduleTrace:
             # homogeneous and no spill stall entered the cycle domain
             # (stall_cycles = spill_bytes / (bandwidth / clock) moves with
             # the clock; compute cycles and on-chip transfer cycles do
-            # not).  An unknown recorded clock rejects the axis outright.
-            if self.frequency_ghz is None:
-                return False
+            # not).
             if not (self.homogeneous_cores and homogeneous_cores):
                 return False
             if self.total_spill_bytes != 0.0:

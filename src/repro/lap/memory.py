@@ -36,13 +36,16 @@ exactly that data movement for the task-graph runtime:
   energy models for one schedule, and the whole-schedule totals the
   scheduler loop (:func:`repro.lap.fastpath.execute_fast`) accumulates.
 
-The closed-form streaming traffic of a monolithic GEMM
-(:func:`gemm_stream_traffic`) also lives here;
-:mod:`repro.lap.offchip` keeps its historical API as a thin shim on top.
+The closed-form streaming traffic of a monolithic GEMM also lives here:
+:func:`gemm_stream_traffic` returns it as a :class:`TrafficSummary`, and
+:class:`OffChipTrafficModel` turns it into roofline / transfer-energy
+bounds, including the extra blocking layer used when C does not fit on
+chip (Section 4.2.3).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.hw.fpu import FMACUnit
@@ -51,21 +54,55 @@ from repro.lap.fastpath import FastLocalStore, FastTileResidency, TileInterner
 from repro.lap.taskgraph import TaskDescriptor
 
 __all__ = [
-    "BandwidthModel", "MemoryHierarchy", "TaskEnergyModel",
-    "gemm_stream_traffic",
+    "BandwidthModel", "MemoryHierarchy", "OffChipTrafficModel",
+    "TaskEnergyModel", "TrafficSummary", "gemm_stream_traffic",
 ]
 
 
+@dataclass(frozen=True)
+class TrafficSummary:
+    """Bytes moved across the chip boundary for one GEMM problem."""
+
+    n: int
+    element_bytes: int
+    a_bytes: float
+    b_bytes: float
+    c_read_bytes: float
+    c_write_bytes: float
+
+    def __post_init__(self) -> None:
+        if self.element_bytes <= 0:
+            raise ValueError("element bytes must be positive")
+        if min(self.a_bytes, self.b_bytes, self.c_read_bytes,
+               self.c_write_bytes) < 0:
+            raise ValueError("byte counts must be non-negative")
+
+    @property
+    def total_bytes(self) -> float:
+        """Total off-chip traffic."""
+        return self.a_bytes + self.b_bytes + self.c_read_bytes + self.c_write_bytes
+
+    @property
+    def arithmetic_intensity(self) -> float:
+        """Flops per byte of off-chip traffic.
+
+        Degenerate problems (``n <= 0`` or nothing moved) report ``0.0``
+        rather than ``inf`` so downstream ratios and sweep rows stay finite.
+        """
+        flops = 2.0 * float(self.n) ** 3
+        if self.n <= 0 or self.total_bytes <= 0:
+            return 0.0
+        return flops / self.total_bytes
+
+
 def gemm_stream_traffic(n: int, element_bytes: int = 8,
-                        resident_fraction_of_c: float = 1.0) -> Dict[str, float]:
+                        resident_fraction_of_c: float = 1.0) -> TrafficSummary:
     """Closed-form off-chip traffic of a streamed ``n x n x n`` GEMM.
 
     The canonical LAP blocking keeps a block of C resident and streams the
     panels of A and B past it.  With only a fraction of C resident, the A
     and B panels are re-streamed once per resident sub-block
     (``1 / fraction`` times); C is read and written exactly once either way.
-    Returns the per-operand byte counts; :class:`repro.lap.offchip`'s
-    ``TrafficSummary`` is a named view of this dictionary.
     """
     if n <= 0:
         raise ValueError("problem size must be positive")
@@ -75,12 +112,58 @@ def gemm_stream_traffic(n: int, element_bytes: int = 8,
         raise ValueError("the resident fraction of C must lie in (0, 1]")
     refetch = 1.0 / resident_fraction_of_c
     matrix_bytes = float(n) * n * element_bytes
-    return {
-        "a_bytes": matrix_bytes * refetch,
-        "b_bytes": matrix_bytes * refetch,
-        "c_read_bytes": matrix_bytes,
-        "c_write_bytes": matrix_bytes,
-    }
+    return TrafficSummary(n=n, element_bytes=element_bytes,
+                          a_bytes=matrix_bytes * refetch,
+                          b_bytes=matrix_bytes * refetch,
+                          c_read_bytes=matrix_bytes,
+                          c_write_bytes=matrix_bytes)
+
+
+class OffChipTrafficModel:
+    """Computes off-chip traffic and transfer-limited performance bounds."""
+
+    def __init__(self, num_cores: int, nr: int = 4, element_bytes: int = 8):
+        if num_cores < 1:
+            raise ValueError("need at least one core")
+        if element_bytes <= 0:
+            raise ValueError("element bytes must be positive")
+        self.num_cores = num_cores
+        self.nr = nr
+        self.element_bytes = element_bytes
+
+    def traffic(self, n: int, onchip_fraction_of_c: float = 1.0) -> TrafficSummary:
+        """Off-chip traffic of a square ``n x n x n`` GEMM.
+
+        ``onchip_fraction_of_c`` in (0, 1] says what fraction of the C block
+        can be kept resident; smaller fractions mean the panels of A and B are
+        re-streamed once per resident sub-block (``1/fraction`` times).
+        """
+        return gemm_stream_traffic(n, self.element_bytes, onchip_fraction_of_c)
+
+    def bandwidth_bound_gflops(self, n: int, interface: OffChipInterface,
+                               onchip_fraction_of_c: float = 1.0) -> float:
+        """Upper bound on GFLOPS imposed by the off-chip interface alone."""
+        summary = self.traffic(n, onchip_fraction_of_c)
+        seconds = summary.total_bytes / (interface.bandwidth_gbytes_per_sec * 1e9)
+        flops = 2.0 * float(n) ** 3
+        return flops / seconds / 1e9 if seconds > 0 else float("inf")
+
+    def compute_bound_gflops(self, frequency_ghz: float) -> float:
+        """Upper bound imposed by the MAC throughput of the cores."""
+        if frequency_ghz <= 0:
+            raise ValueError("frequency must be positive")
+        return 2.0 * self.num_cores * self.nr * self.nr * frequency_ghz
+
+    def roofline_gflops(self, n: int, interface: OffChipInterface, frequency_ghz: float,
+                        onchip_fraction_of_c: float = 1.0) -> float:
+        """Roofline-style achievable GFLOPS: min(compute bound, bandwidth bound)."""
+        return min(self.compute_bound_gflops(frequency_ghz),
+                   self.bandwidth_bound_gflops(n, interface, onchip_fraction_of_c))
+
+    def transfer_energy_j(self, n: int, interface: OffChipInterface,
+                          onchip_fraction_of_c: float = 1.0) -> float:
+        """Energy spent moving the problem across the chip boundary."""
+        return interface.transfer_energy_j(self.traffic(n, onchip_fraction_of_c).total_bytes)
 
 
 class BandwidthModel:

@@ -578,20 +578,20 @@ class LAPRuntime:
     def schedule_trace(self) -> ScheduleTrace:
         """Replayable record of the most recent ``execute()`` call.
 
-        Captures the dispatch outcome plus the movement totals that decide
-        when a sweep point differing only in bandwidth / prefetch-overlap /
-        chip-clock / off-chip-energy constants can reuse this schedule
-        exactly instead of re-simulating (see
+        Captures the movement totals, clock and energy constants that
+        decide when a sweep point differing only in bandwidth /
+        prefetch-overlap / chip-clock / off-chip-energy constants can reuse
+        this schedule exactly instead of re-simulating (see
         :class:`repro.lap.fastpath.ScheduleTrace` and the ``lap_runtime``
         runner's replay fast path).  With memory accounting on, the trace
         also carries a lazy thunk producing per-task ``(flops,
         onchip_bytes, offchip_bytes)`` energy triples, so energy-constant
-        deltas re-key the energy column per task instead of re-simulating;
-        they are derived from the execution rows plus the graph's footprint
-        arrays.
+        deltas re-key the energy column per task instead of re-simulating.
+        The thunk captures this run's row source and the graph's footprint
+        arrays; no :class:`TaskExecution` row is built unless a re-key
+        calls it.
         """
         memory = self.last_memory
-        rows = self.executions
         energy_constants = None
         flush_wb = 0.0
         triples_thunk = None
@@ -601,23 +601,23 @@ class LAPRuntime:
                                 energy.onchip_energy_per_byte_j,
                                 energy.offchip_energy_per_byte_j)
             flush_wb = memory.flush_writeback_bytes
-            if rows and self._last_graph is not None:
+            if self._last_graph is not None and len(self._last_graph):
+                rows = self._executions
+                build = self._exec_build if rows is None else None
                 arrays = self._last_graph.fast_arrays()
                 tile = self.tile
                 tile_bytes = memory.residency.tile_bytes
 
-                def triples_thunk(rows=rows, arrays=arrays, tile=tile,
-                                  tile_bytes=tile_bytes):
+                def triples_thunk(rows=rows, build=build, arrays=arrays,
+                                  tile=tile, tile_bytes=tile_bytes):
                     id2idx = arrays.id2idx
                     rw_len = arrays.rw_len
                     return [(_TASK_FLOPS[e.kind](tile),
                              rw_len[id2idx[e.task_id]] * tile_bytes
                              + e.transfer_bytes,
                              e.refill_bytes + e.writeback_bytes)
-                            for e in rows]
+                            for e in (rows if build is None else build())]
         return ScheduleTrace(
-            policy=self.policy.name,
-            timing=self.timing.name,
             stall_overlap=self.stall_overlap,
             effective_bandwidth_gbs=(
                 memory.bandwidth.interface.bandwidth_gbytes_per_sec
@@ -628,10 +628,6 @@ class LAPRuntime:
             total_movement_cycles=(
                 memory.total_stall_cycles + memory.local_transfer_cycles
                 if memory is not None else 0.0),
-            task_ids=[e.task_id for e in rows],
-            cores=[e.core_index for e in rows],
-            starts=[e.start_cycle for e in rows],
-            ends=[e.end_cycle for e in rows],
             makespan_cycles=self.last_makespan,
             frequency_ghz=self.lap.config.frequency_ghz,
             homogeneous_cores=self._homogeneous,

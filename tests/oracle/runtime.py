@@ -20,6 +20,7 @@ import contextlib
 import heapq
 from typing import Dict, Iterator, List, Sequence, Tuple
 
+from repro.engine.runners import _REPLAY_MEMO
 from repro.lap.runtime import LAPRuntime, TaskExecution, _ExecutionContext
 from repro.lap.taskgraph import TaskDescriptor, TaskGraph
 from repro.lap.timing import compose_task_cycles, decompose_task_cycles
@@ -222,10 +223,18 @@ class ReferenceRuntime(LAPRuntime):
 
 @contextlib.contextmanager
 def reference_loop() -> Iterator[None]:
-    """Route every ``LAPRuntime.execute`` call through the reference loop."""
+    """Route every ``LAPRuntime.execute`` call through the reference loop.
+
+    The ``lap_runtime`` replay memo is cleared on entry and on exit, so a
+    point is never replayed across the boundary: inside, every point
+    simulates on the oracle; after, the same point simulates on production
+    instead of returning the oracle's recorded row.
+    """
     original = LAPRuntime.execute
     LAPRuntime.execute = reference_execute
+    _REPLAY_MEMO.clear()
     try:
         yield
     finally:
+        _REPLAY_MEMO.clear()
         LAPRuntime.execute = original

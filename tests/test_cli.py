@@ -219,14 +219,16 @@ def test_sweep_warns_on_unknown_parameter(capsys):
     assert "ignores parameter(s) coresz" in err
 
 
-def test_sweep_warns_on_retired_fast_parameter(capsys):
-    """`fast` no longer selects a scheduler loop (there is one), so a sweep
-    axis naming it is flagged like any other unknown parameter."""
+@pytest.mark.parametrize("name", ["fast", "replay"])
+def test_sweep_warns_on_retired_parameter(name, capsys):
+    """`fast` no longer selects a scheduler loop (there is one) and
+    `replay` no longer switches schedule replay (it is always on), so a
+    sweep axis naming either is flagged like any other unknown parameter."""
     assert main(["sweep", "--runner", "lap_runtime", "--set", "n=16",
                  "--set", "timing=memoized", "--set", "verify=0",
-                 "--grid", "fast=0,1", "--no-cache"]) == 0
+                 "--grid", f"{name}=0,1", "--no-cache"]) == 0
     err = capsys.readouterr().err
-    assert "ignores parameter(s) fast" in err
+    assert f"ignores parameter(s) {name}" in err
 
 
 def test_sweep_rejects_unknown_objective(capsys):

@@ -637,6 +637,26 @@ def test_incremental_pareto_equals_batch_property():
 
 # ------------------------------------------------- concurrent stats merge
 class TestConcurrentStats:
+    """The locked lifetime-counter merge into a store's ``_stats.json``.
+
+    Runs against :class:`ResultCache` here and, through the subclass below,
+    against :class:`SidecarStore` (whose only counter is evictions): both
+    stores share one implementation, so both get the same checks.
+    """
+
+    counters = ("hits", "misses")
+
+    def make(self, root):
+        return ResultCache(root, code_version="v1")
+
+    def bump(self, store, amount):
+        for name in self.counters:
+            setattr(store, name, amount)
+
+    def lifetime(self, root):
+        stats = self.make(root).lifetime_stats()
+        return [stats[name] for name in self.counters]
+
     def test_parallel_persist_stats_loses_no_deltas(self, tmp_path):
         """Many writers folding into one _stats.json keep every delta."""
         import threading
@@ -645,10 +665,9 @@ class TestConcurrentStats:
         per_writer = 5
 
         def persist(_i):
-            cache = ResultCache(tmp_path, code_version="v1")
-            cache.hits = per_writer
-            cache.misses = per_writer
-            cache.persist_stats()
+            store = self.make(tmp_path)
+            self.bump(store, per_writer)
+            store.persist_stats()
 
         threads = [threading.Thread(target=persist, args=(i,))
                    for i in range(writers)]
@@ -656,17 +675,15 @@ class TestConcurrentStats:
             thread.start()
         for thread in threads:
             thread.join()
-        final = ResultCache(tmp_path, code_version="v1").lifetime_stats()
-        assert final["hits"] == writers * per_writer
-        assert final["misses"] == writers * per_writer
+        assert self.lifetime(tmp_path) == [writers * per_writer] * len(self.counters)
 
     def test_corrupt_stats_file_does_not_crash_merge(self, tmp_path):
-        cache = ResultCache(tmp_path, code_version="v1")
+        store = self.make(tmp_path)
         (tmp_path / "_stats.json").write_text("{torn")
-        cache.hits = 3
-        cache.persist_stats()
+        self.bump(store, 3)
+        store.persist_stats()
         # The garbled history is replaced; the new deltas survive.
-        assert ResultCache(tmp_path, code_version="v1").lifetime_stats()["hits"] == 3
+        assert self.lifetime(tmp_path) == [3] * len(self.counters)
 
     def test_stale_lock_is_broken(self, tmp_path):
         import os
@@ -675,10 +692,10 @@ class TestConcurrentStats:
         lock.write_text("")
         old = lock.stat().st_atime - 3600
         os.utime(lock, (old, old))
-        cache = ResultCache(tmp_path, code_version="v1")
-        cache.hits = 2
-        cache.persist_stats()
-        assert cache.lifetime_stats()["hits"] == 2
+        store = self.make(tmp_path)
+        self.bump(store, 2)
+        store.persist_stats()
+        assert self.lifetime(tmp_path) == [2] * len(self.counters)
         assert not lock.exists()
 
     def test_contended_lock_defers_merge(self, tmp_path, monkeypatch):
@@ -687,13 +704,24 @@ class TestConcurrentStats:
         monkeypatch.setattr(cache_module, "_STATS_LOCK_ATTEMPTS", 2)
         monkeypatch.setattr(cache_module, "_STATS_LOCK_STALE_S", 3600.0)
         (tmp_path / "_stats.lock").write_text("")  # held by "another" process
-        cache = ResultCache(tmp_path, code_version="v1")
-        cache.hits = 4
-        cache.persist_stats()  # cannot take the lock: deltas stay pending
+        store = self.make(tmp_path)
+        self.bump(store, 4)
+        store.persist_stats()  # cannot take the lock: deltas stay pending
         assert not (tmp_path / "_stats.json").exists()
         (tmp_path / "_stats.lock").unlink()
-        cache.persist_stats()
-        assert cache.lifetime_stats()["hits"] == 4
+        store.persist_stats()
+        assert self.lifetime(tmp_path) == [4] * len(self.counters)
+
+
+class TestSidecarConcurrentStats(TestConcurrentStats):
+    """The same merge, for the replay sidecar's lifetime evictions."""
+
+    counters = ("evictions",)
+
+    def make(self, root):
+        from repro.engine import SidecarStore
+
+        return SidecarStore(root, code_version="v1")
 
 
 # ----------------------------------------------------- replay sidecar
@@ -764,8 +792,9 @@ class TestReplaySidecar:
 
     def test_sidecar_budget_prunes_lru(self, tmp_path, monkeypatch):
         """The replay sidecar evicts least-recently-used records past its
-        byte budget, persists the pruned count for `cache stats`, and reads
-        its default budget from REPRO_REPLAY_MAX_MB."""
+        byte budget, folds the pruned count into the shared lifetime
+        counters (its own ``_stats.json``) for `cache stats`, and reads its
+        default budget from REPRO_REPLAY_MAX_MB."""
         import os
 
         from repro.engine import SidecarStore
@@ -794,7 +823,11 @@ class TestReplaySidecar:
         assert store.size_bytes() <= 1200
         # The lifetime counter survives into fresh instances and the cache
         # stats block (one store is built per ``sidecar()`` call).
-        assert SidecarStore(root).lifetime_evictions() == store.evictions
+        assert store.evictions > removed
+        assert SidecarStore(root).lifetime_stats() == {"evictions": store.evictions}
+        assert json.loads((root / "_stats.json").read_text()) == {
+            "evictions": store.evictions}
+        assert not (root / "_evictions.json").exists()
         cache = ResultCache(tmp_path, code_version="v1")
         assert cache.stats()["sidecar"]["evictions"] == store.evictions
         # A get() refreshes recency so hot records survive later prunes.

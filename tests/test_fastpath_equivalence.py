@@ -34,7 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import ReferenceRuntime, reference_loop
-from repro.engine.runners import get_runner
+from repro.engine.runners import _REPLAY_MEMO, configure_worker, get_runner
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
 from repro.lap.runtime import LAPRuntime
 from repro.lap.taskgraph import AlgorithmsByBlocks
@@ -47,6 +47,14 @@ POLICIES = ["greedy", "critical_path", "locality", "memory_aware", "affinity"]
 LEVELS = [None, 1.0]
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "goldens"
+
+
+def simulate(runner, params):
+    """Run a ``lap_runtime`` point with nothing to replay from (an empty
+    in-process memo, no sidecar), so the row comes from a fresh schedule."""
+    _REPLAY_MEMO.clear()
+    configure_worker(None)
+    return runner(dict(params))
 
 
 def make_runtime(production, policy="greedy", local_store_kb=None,
@@ -101,17 +109,10 @@ def assert_runs_identical(ref_rt, fast_rt, graph, verify=False):
     assert ref_att.as_dict() == fast_att.as_dict()
     fast_att.check()
     ref_trace, fast_trace = ref_rt.schedule_trace(), fast_rt.schedule_trace()
-    assert ref_trace.task_ids == fast_trace.task_ids
-    assert ref_trace.cores == fast_trace.cores
-    assert ref_trace.starts == fast_trace.starts
-    assert ref_trace.ends == fast_trace.ends
-    assert ref_trace.total_spill_bytes == fast_trace.total_spill_bytes
-    assert ref_trace.total_movement_cycles == fast_trace.total_movement_cycles
-    assert ref_trace.makespan_cycles == fast_trace.makespan_cycles
-    assert ref_trace.frequency_ghz == fast_trace.frequency_ghz
-    assert ref_trace.homogeneous_cores == fast_trace.homogeneous_cores
-    assert ref_trace.energy_constants == fast_trace.energy_constants
-    assert ref_trace.flush_writeback_bytes == fast_trace.flush_writeback_bytes
+    # Every header field (what the replay decision reads), by value and type.
+    ref_header = json.dumps(ref_trace.to_payload())
+    assert ref_header == json.dumps(fast_trace.to_payload())
+    assert ref_trace.energy_triples() == fast_trace.energy_triples()
     if ref_trace.energy_constants is not None:
         # Both paths' per-task energy triples must re-key the energy column
         # bit for bit at the recorded constants -- the identity every replay
@@ -246,8 +247,8 @@ def test_runner_fast_rows_match_memory_goldens():
     assert len(golden) == len(MEMORY_GOLDEN_CASES)
     for case, expected in zip(MEMORY_GOLDEN_CASES, golden):
         with reference_loop():
-            ref_row = runner({**case, "replay": "off"})
-        fast_row = runner({**case, "replay": "off"})
+            ref_row = runner(dict(case))
+        fast_row = simulate(runner, case)
         assert list(ref_row) == list(fast_row)
         assert ref_row == fast_row
         assert set(fast_row) == set(expected)
@@ -268,8 +269,8 @@ def test_runner_policy_golden_rows_survive_fast():
         params = {"algorithm": "cholesky", "n": row["n"], "tile": row["tile"],
                   "num_cores": row["num_cores"], "nr": 4, "seed": 0,
                   "timing": "memoized", "verify": False,
-                  "policy": row["policy"], "replay": "off"}
-        fast_row = runner(dict(params))
+                  "policy": row["policy"]}
+        fast_row = simulate(runner, params)
         with reference_loop():
             assert runner(dict(params)) == fast_row
         assert fast_row["makespan_cycles"] == row["makespan_cycles"]
@@ -376,26 +377,21 @@ def test_schedule_trace_payload_roundtrip():
 
     from repro.lap.fastpath import ScheduleTrace
 
-    trace = ScheduleTrace(policy="greedy", timing="memoized",
-                          stall_overlap=0.25, effective_bandwidth_gbs=12.5,
+    trace = ScheduleTrace(stall_overlap=0.25, effective_bandwidth_gbs=12.5,
                           default_bandwidth_gbs=16.0,
                           total_spill_bytes=4096.0,
-                          total_movement_cycles=0.0,
-                          task_ids=[1, 2, 3], cores=[0, 1, 0],
-                          starts=[0.0, 1.0, 2.0], ends=[1.0, 2.0, 3.0])
+                          total_movement_cycles=0.0)
     payload = json.loads(json.dumps(trace.to_payload()))  # disk round-trip
     loaded = ScheduleTrace.from_payload(payload)
-    assert len(loaded) == len(trace) == 3
+    assert loaded.to_payload() == trace.to_payload()
     for bandwidth in (None, 12.5, 64.0):
         for overlap in (0.25, 0.75):
             assert (loaded.exact_for(bandwidth, overlap)
                     == trace.exact_for(bandwidth, overlap))
     # None bandwidth (memory accounting disabled) survives the round trip.
-    nomem = ScheduleTrace(policy="greedy", timing="functional",
-                          stall_overlap=0.0, effective_bandwidth_gbs=None,
+    nomem = ScheduleTrace(stall_overlap=0.0, effective_bandwidth_gbs=None,
                           default_bandwidth_gbs=16.0, total_spill_bytes=0.0,
-                          total_movement_cycles=0.0, task_ids=[], cores=[],
-                          starts=[], ends=[])
+                          total_movement_cycles=0.0)
     again = ScheduleTrace.from_payload(
         json.loads(json.dumps(nomem.to_payload())))
     assert again.effective_bandwidth_gbs is None
@@ -417,17 +413,17 @@ def test_replay_delta_rows_equal_resimulation():
     before = dict(REPLAY_STATS)
     replayed = runner({**base, "bandwidth_gbs": 64.0})
     assert REPLAY_STATS["replayed"] == before["replayed"] + 1
-    resim = runner({**base, "bandwidth_gbs": 64.0, "replay": "off"})
+    resim = simulate(runner, {**base, "bandwidth_gbs": 64.0})
     assert replayed == resim
     # Constrained capacity: spills couple bandwidth to the schedule, so the
-    # delta must force a re-simulation (and still agree with replay="off").
+    # delta must force a re-simulation (and still agree with a fresh one).
     tight = {**base, "seed": 12, "on_chip_kb": 4.0}
     first = runner(dict(tight))
     assert first["spill_bytes"] > 0
     before = dict(REPLAY_STATS)
     forced = runner({**tight, "bandwidth_gbs": 64.0})
     assert REPLAY_STATS["forced"] == before["forced"] + 1
-    assert forced == runner({**tight, "bandwidth_gbs": 64.0, "replay": "off"})
+    assert forced == simulate(runner, {**tight, "bandwidth_gbs": 64.0})
 
 
 def test_frequency_and_energy_replay_equal_resimulation():
@@ -452,7 +448,8 @@ def test_frequency_and_energy_replay_equal_resimulation():
             before = dict(REPLAY_STATS)
             replayed = runner({**base, **delta})
             assert REPLAY_STATS["replayed"] == before["replayed"] + 1, delta
-            resim = runner({**base, **delta, "replay": "off"})
+            resim = simulate(runner, {**base, **delta})
+            simulate(runner, base)  # re-record the base for the next delta
             assert list(replayed) == list(resim), delta
             for key in resim:
                 assert type(replayed[key]) is type(resim[key]), (delta, key)
@@ -461,7 +458,7 @@ def test_frequency_and_energy_replay_equal_resimulation():
 
 def test_frequency_replay_rejections_force_resimulation():
     """Heterogeneous clocks and spill-coupled stalls both disqualify the
-    frequency axis; the forced re-simulation still matches replay='off'."""
+    frequency axis; the forced re-simulation still matches a fresh one."""
     from repro.lap.fastpath import REPLAY_STATS
 
     runner = get_runner("lap_runtime")
@@ -473,7 +470,7 @@ def test_frequency_replay_rejections_force_resimulation():
     before = dict(REPLAY_STATS)
     forced = runner({**het, "frequency_ghz": 2.0})
     assert REPLAY_STATS["forced"] == before["forced"] + 1
-    assert forced == runner({**het, "frequency_ghz": 2.0, "replay": "off"})
+    assert forced == simulate(runner, {**het, "frequency_ghz": 2.0})
     # Spill traffic enters the cycle domain through clock-dependent stalls.
     tight = {**base, "seed": 28, "on_chip_kb": 4.0}
     first = runner(dict(tight))
@@ -481,20 +478,19 @@ def test_frequency_replay_rejections_force_resimulation():
     before = dict(REPLAY_STATS)
     forced = runner({**tight, "frequency_ghz": 2.0})
     assert REPLAY_STATS["forced"] == before["forced"] + 1
-    assert forced == runner({**tight, "frequency_ghz": 2.0, "replay": "off"})
+    assert forced == simulate(runner, {**tight, "frequency_ghz": 2.0})
 
 
-def test_exact_for_energy_and_frequency_gates():
+def test_exact_for_energy_and_frequency_gates(tmp_path):
     """`exact_for` widens only with full provenance: an energy-constant
     delta needs the recorded constants plus per-task triples, a frequency
     delta a known homogeneous recorded clock; header-only round trips
     (which drop the triples) reject every re-keying delta."""
     from repro.lap.fastpath import ScheduleTrace
 
-    kw = dict(policy="greedy", timing="memoized", stall_overlap=0.0,
-              effective_bandwidth_gbs=16.0, default_bandwidth_gbs=16.0,
-              total_spill_bytes=0.0, total_movement_cycles=0.0,
-              task_ids=[1], cores=[0], starts=[0.0], ends=[1.0])
+    kw = dict(stall_overlap=0.0, effective_bandwidth_gbs=16.0,
+              default_bandwidth_gbs=16.0, total_spill_bytes=0.0,
+              total_movement_cycles=0.0)
     triples = [(10.0, 100.0, 50.0)]
     full = ScheduleTrace(**kw, makespan_cycles=100.0, frequency_ghz=1.0,
                          homogeneous_cores=True,
@@ -528,8 +524,67 @@ def test_exact_for_energy_and_frequency_gates():
     # No recorded constants at all: any energy check rejects outright.
     bare = ScheduleTrace(**kw)
     assert not bare.exact_for(16.0, 0.0, offchip_energy_per_byte_j=60e-12)
-    # An unknown recorded clock (legacy payload) rejects the axis.
-    legacy_payload = {k: v for k, v in full.to_payload().items()
-                      if k != "frequency_ghz"}
-    legacy = ScheduleTrace.from_payload(legacy_payload)
-    assert not legacy.exact_for(16.0, 0.0, frequency_ghz=2.0)
+
+    # A header missing a field the replay decision reads is not a
+    # conservative trace but no trace at all: from_payload raises, and the
+    # runner's sidecar load turns that into a miss (the point re-simulates).
+    from repro.engine import SidecarStore, runners
+
+    partial = {k: v for k, v in full.to_payload().items()
+               if k != "frequency_ghz"}
+    with pytest.raises(KeyError):
+        ScheduleTrace.from_payload(partial)
+    key = ("cholesky", 48, 8, 2, 4, 1.0, 0, "greedy", "memoized", False,
+           True, None, None, None)
+    store = SidecarStore(tmp_path / "replay", code_version="v1")
+    store.put(runners._REPLAY_SIDECAR_KIND, runners._replay_material(key),
+              {"trace": partial, "row": {"n": 48}})
+    try:
+        configure_worker({"replay_sidecar": store.config()})
+        _REPLAY_MEMO.clear()
+        assert runners._load_replay_from_sidecar(key) is None
+        assert key not in _REPLAY_MEMO
+        # The complete header does load.
+        store.put(runners._REPLAY_SIDECAR_KIND, runners._replay_material(key),
+                  {"trace": full.to_payload(), "row": {"n": 48}})
+        assert runners._load_replay_from_sidecar(key) is not None
+    finally:
+        configure_worker(None)
+        _REPLAY_MEMO.clear()
+
+
+def test_schedule_trace_leaves_execution_rows_unbuilt():
+    """`schedule_trace()` records without materialising `TaskExecution`
+    rows; its energy triples still re-key `energy_j` bit for bit at the
+    recorded constants (building the rows only then, from the run's own
+    row source)."""
+    graph = AlgorithmsByBlocks(TILE).cholesky_tasks(40)
+    for kwargs in ({}, {"policy": "memory_aware", "local_store_kb": 1.0}):
+        rt = make_runtime(True, **kwargs)
+        stats = rt.execute(graph, make_tiles(), verify=False)
+        assert rt._executions is None
+        trace = rt.schedule_trace()
+        assert rt._executions is None
+        assert trace.has_energy_triples
+        assert trace.rekey_energy_j(*trace.energy_constants) == stats["energy_j"]
+        assert rt._executions is None  # the thunk built its own rows
+
+
+def test_oracle_rows_are_never_replayed_outside_the_oracle():
+    """`reference_loop()` isolates the replay memo: the same point run on
+    the oracle and then on production simulates twice (nothing replayed
+    across the boundary) and the rows agree."""
+    from repro.lap.fastpath import REPLAY_STATS
+
+    runner = get_runner("lap_runtime")
+    params = {"algorithm": "lu", "n": 40, "tile": 8, "num_cores": 2, "nr": 4,
+              "seed": 5, "timing": "memoized", "verify": False,
+              "policy": "memory_aware", "on_chip_kb": 6.0}
+    configure_worker(None)
+    with reference_loop():
+        ref_row = runner(dict(params))
+    before = dict(REPLAY_STATS)
+    fast_row = runner(dict(params))
+    assert REPLAY_STATS["recorded"] == before["recorded"] + 1
+    assert REPLAY_STATS["replayed"] == before["replayed"]
+    assert json.dumps(ref_row) == json.dumps(fast_row)

@@ -6,7 +6,7 @@ import pytest
 from repro.hw.fpu import Precision
 from repro.hw.memory import OffChipInterface
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
-from repro.lap.offchip import OffChipTrafficModel
+from repro.lap.memory import OffChipTrafficModel
 from repro.lap.policies import GEMMScheduler
 
 

@@ -25,9 +25,9 @@ from repro.engine.runners import get_runner
 from repro.hw.memory import OffChipInterface
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
 from repro.lap.fastpath import FastLocalStore, FastTileResidency
-from repro.lap.memory import (BandwidthModel, MemoryHierarchy, TaskEnergyModel,
-                              gemm_stream_traffic)
-from repro.lap.offchip import OffChipTrafficModel, TrafficSummary
+from repro.lap.memory import (BandwidthModel, MemoryHierarchy,
+                              OffChipTrafficModel, TaskEnergyModel,
+                              TrafficSummary, gemm_stream_traffic)
 from repro.lap.runtime import LAPRuntime
 from repro.lap.taskgraph import (AlgorithmsByBlocks, TaskDescriptor, TaskKind,
                                  task_flops)
@@ -169,18 +169,8 @@ class TestBandwidthAndEnergy:
             compose_task_cycles(1, 1, overlap_fraction=2.0)
 
 
-# ----------------------------------------------------- off-chip shim parity
+# ------------------------------------------------ closed-form off-chip traffic
 class TestOffChipShim:
-    def test_traffic_summary_matches_stream_formula(self):
-        model = OffChipTrafficModel(num_cores=8, element_bytes=8)
-        for fraction in (1.0, 0.5, 0.25):
-            summary = model.traffic(1024, fraction)
-            parts = gemm_stream_traffic(1024, 8, fraction)
-            assert summary.a_bytes == parts["a_bytes"]
-            assert summary.b_bytes == parts["b_bytes"]
-            assert summary.c_read_bytes == parts["c_read_bytes"]
-            assert summary.c_write_bytes == parts["c_write_bytes"]
-
     def test_residency_limit_equals_closed_form(self):
         """Unconstrained residency over a GEMM graph reproduces the analytic
         streamed traffic exactly (every operand crosses the boundary once)."""
@@ -194,8 +184,8 @@ class TestOffChipShim:
             writeback += wb
         writeback += res.flush()
         parts = gemm_stream_traffic(n, eb, 1.0)
-        assert refill == parts["a_bytes"] + parts["b_bytes"] + parts["c_read_bytes"]
-        assert writeback == parts["c_write_bytes"]
+        assert refill == parts.a_bytes + parts.b_bytes + parts.c_read_bytes
+        assert writeback == parts.c_write_bytes
 
     def test_degenerate_arithmetic_intensity_is_zero(self):
         summary = TrafficSummary(n=0, element_bytes=8, a_bytes=0.0, b_bytes=0.0,

@@ -318,7 +318,8 @@ def test_fast_local_store_matches_ordereddict_oracle(trace, capacity_tiles,
 def test_replayed_rows_equal_resimulated_rows(data):
     """Any delta point the replay layer serves from a recorded schedule is
     byte-identical to re-simulating that point from scratch."""
-    from repro.engine.runners import get_runner
+    from repro.engine.runners import (_REPLAY_MEMO, configure_worker,
+                                      get_runner)
 
     runner = get_runner("lap_runtime")
     base = {"algorithm": data.draw(st.sampled_from(["cholesky", "lu"])),
@@ -333,5 +334,7 @@ def test_replayed_rows_equal_resimulated_rows(data):
     if data.draw(st.booleans()):
         delta["stall_overlap"] = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
     replayed = runner(dict(delta))
-    resimulated = runner({**delta, "replay": "off"})
+    _REPLAY_MEMO.clear()  # nothing to replay from: simulate afresh
+    configure_worker(None)
+    resimulated = runner(dict(delta))
     assert replayed == resimulated
