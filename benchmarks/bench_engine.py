@@ -214,3 +214,76 @@ def test_cache_prune_keeps_sweeps_bounded(benchmark, tmp_path):
     benchmark(refill_and_prune)
     assert len(cache) <= 64
     assert cache.size_bytes() <= 64 * entry_bytes
+
+
+def test_replay_point_record(bench_json):
+    """Per-point latency of replayed ``lap_runtime`` delta points.
+
+    Records one schedule per algorithm (Cholesky and GEMM at n=1024, tile
+    64, 32 MB on chip so nothing spills and every delta axis replays), then
+    times the runner on bandwidth-only, off-chip-energy-only and clock
+    delta points, plus the first energy re-key of the recorded schedule
+    (which builds its per-task energy columns).  A sample of the replayed
+    rows must equal re-simulating the same points.  Writes
+    ``BENCH_replay_point.json``.
+    """
+    import statistics
+
+    from repro.engine.runners import _REPLAY_MEMO, configure_worker, get_runner
+    from repro.lap.fastpath import REPLAY_STATS
+
+    runner = get_runner("lap_runtime")
+    points = 40
+    deltas = {
+        "bandwidth": [{"bandwidth_gbs": 4.0 + 2.0 * i} for i in range(points)],
+        "offchip_energy": [{"offchip_pj_per_byte": 10.0 + 4.0 * i}
+                           for i in range(points)],
+        "clock": [{"frequency_ghz": 0.5 + 0.04 * i} for i in range(points)],
+    }
+    payload = {"n": 1024, "tile": 64, "points_per_delta": points,
+               "algorithms": {}}
+    samples = []
+    configure_worker(None)
+    try:
+        for algorithm in ("cholesky", "gemm"):
+            base = {"algorithm": algorithm, "n": 1024, "tile": 64,
+                    "num_cores": 4, "nr": 4, "seed": 0, "policy": "greedy",
+                    "timing": "memoized", "verify": False,
+                    "onchip_mbytes": 32.0}
+            _REPLAY_MEMO.clear()
+            started = time.perf_counter()
+            runner(dict(base))
+            record_s = time.perf_counter() - started
+            (trace, _), = _REPLAY_MEMO.values()
+            started = time.perf_counter()
+            trace.rekey_energy_j(*trace.energy_constants)
+            first_rekey_s = time.perf_counter() - started
+            entry = {"record_point_s": record_s,
+                     "first_rekey_s": first_rekey_s}
+            for name, changes in deltas.items():
+                latencies = []
+                for change in changes:
+                    params = {**base, **change}
+                    replayed = REPLAY_STATS["replayed"]
+                    started = time.perf_counter()
+                    row = runner(params)
+                    latencies.append(time.perf_counter() - started)
+                    assert REPLAY_STATS["replayed"] == replayed + 1, params
+                latencies.sort()
+                entry[name] = {
+                    "p50_s": statistics.median(latencies),
+                    "p90_s": latencies[int(0.9 * (len(latencies) - 1))],
+                    "mean_s": statistics.fmean(latencies),
+                }
+                samples.append((params, row))
+            payload["algorithms"][algorithm] = entry
+        # Re-simulate the last replayed point of every delta kind from an
+        # empty replay memo: the rows must match byte for byte.
+        for params, row in samples:
+            _REPLAY_MEMO.clear()
+            replayed = REPLAY_STATS["replayed"]
+            assert json.dumps(runner(dict(params))) == json.dumps(row), params
+            assert REPLAY_STATS["replayed"] == replayed
+    finally:
+        _REPLAY_MEMO.clear()
+    bench_json("replay_point", payload)

@@ -551,8 +551,12 @@ def run_lap_runtime(params: Params) -> dict:
     ``frequency_ghz`` delta (homogeneous cores both sides, zero spill)
     rescales ``makespan_ns`` from the recorded cycle count, and a
     frequency or ``offchip_pj_per_byte`` delta re-keys ``energy_j`` /
-    ``gflops_per_w`` from the trace's per-task energy triples; anything
-    else re-simulates.
+    ``gflops_per_w`` from the trace's per-task energy columns
+    (:meth:`~repro.lap.fastpath.ScheduleTrace.rekey_energy_j`, one NumPy
+    pass); anything else re-simulates.  A replayed point builds no cores:
+    the per-flop and per-on-chip-byte constants at a new clock come from
+    :class:`~repro.lap.chip.LAPConfig`'s component factories alone, so it
+    costs about as much as assembling its row.
     """
     import numpy as np
 
@@ -641,15 +645,15 @@ def run_lap_runtime(params: Params) -> dict:
                     if freq_delta:
                         # The per-flop and per-on-chip-byte constants follow
                         # the chip's operating point, so rebuild them at the
-                        # new clock before re-keying.
+                        # new clock (from the configuration alone: no cores
+                        # are built) before re-keying.
                         from repro.lap.memory import TaskEnergyModel
-                        lap2 = LinearAlgebraProcessor(LAPConfig(
-                            num_cores=num_cores, nr=nr,
-                            onchip_memory_mbytes=onchip_mbytes,
-                            frequency_ghz=new_freq))
-                        em = TaskEnergyModel(lap2.config.fmac(),
-                                             lap2.onchip_memory,
-                                             lap2.offchip)
+                        config = LAPConfig(num_cores=num_cores, nr=nr,
+                                           onchip_memory_mbytes=onchip_mbytes,
+                                           frequency_ghz=new_freq)
+                        em = TaskEnergyModel(config.fmac(),
+                                             config.onchip_memory(),
+                                             config.offchip())
                         epf = em.energy_per_flop_j
                         epon = em.onchip_energy_per_byte_j
                     energy_j = trace.rekey_energy_j(epf, epon, new_epoff)

@@ -110,6 +110,12 @@ def lac_householder_vector(core: LinearAlgebraCore, x: np.ndarray,
     chi2 = lac_vector_norm(core, x2, use_exponent_extension=use_exponent_extension).output
     alpha = lac_vector_norm(core, np.array([alpha1, chi2]),
                             use_exponent_extension=use_exponent_extension).output
+    if alpha == 0.0:
+        # The whole vector's norm underflowed (e.g. every entry subnormal):
+        # the reflector is the identity.  Going on would take 1 / nu1 of a
+        # subnormal nu1 (overflow) and turn tau into NaN.  The reference,
+        # whose norm scales first, still reflects such a vector.
+        return alpha1, np.zeros_like(x2), float("inf")
     rho1 = -np.sign(alpha1) * alpha if alpha1 != 0.0 else -alpha
     nu1 = alpha1 - rho1
     inv_nu1 = core.special(SpecialOp.RECIPROCAL, nu1)

@@ -43,7 +43,8 @@ configuration.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -583,6 +584,11 @@ class GraphArrays:
         self._negrank: Optional[List[float]] = None
 
 
+def _row_column(rows: List[Tuple], field: int, dtype=np.float64) -> np.ndarray:
+    """One field of the scheduler loop's row tuples as an array."""
+    return np.fromiter(map(itemgetter(field), rows), dtype, len(rows))
+
+
 def _uniform_square_tiles(tiles: Dict, t: int) -> bool:
     """Whether every operand tile is a ``t x t`` array.
 
@@ -623,6 +629,10 @@ _POLICY_CODES: Dict[type, int] = _policy_codes()
 REPLAY_STATS: Dict[str, int] = {"recorded": 0, "replayed": 0, "forced": 0,
                                 "sidecar_loaded": 0, "sidecar_stored": 0}
 
+#: Per-task ``(flops, onchip_bytes, offchip_bytes)`` of one schedule in
+#: dispatch order, as three float64 arrays.
+EnergyColumns = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
 
 class ScheduleTrace:
     """Recorded schedule of one ``execute()`` call, for delta-sweep replay.
@@ -637,7 +647,7 @@ class ScheduleTrace:
     uniformly (exact when both points are homogeneous and no spill stall
     entered the cycle domain), and energy constants never feed back into
     dispatch at all -- a delta there re-keys the recorded per-task
-    ``(flops, onchip_bytes, offchip_bytes)`` triples instead of
+    ``flops`` / ``onchip_bytes`` / ``offchip_bytes`` columns instead of
     re-simulating.  Anything else forces a re-simulation;
     :data:`REPLAY_STATS` counts both outcomes.  The policy, timing model
     and every other schedule-shaping parameter live in the replay memo's
@@ -654,9 +664,8 @@ class ScheduleTrace:
                  energy_constants: Optional[Tuple[float, float, float]] = None,
                  default_offchip_energy_per_byte_j: float = 60e-12,
                  flush_writeback_bytes: float = 0.0,
-                 energy_triples: Optional[List[Tuple[float, float,
-                                                     float]]] = None,
-                 energy_triples_thunk=None):
+                 energy_columns_thunk: Optional[
+                     Callable[[], EnergyColumns]] = None):
         self.stall_overlap = stall_overlap
         self.effective_bandwidth_gbs = effective_bandwidth_gbs
         self.default_bandwidth_gbs = default_bandwidth_gbs
@@ -673,15 +682,15 @@ class ScheduleTrace:
         self.default_offchip_energy_per_byte_j = (
             default_offchip_energy_per_byte_j)
         self.flush_writeback_bytes = flush_writeback_bytes
-        self._energy_triples = energy_triples
-        self._triples_thunk = energy_triples_thunk
+        self._energy_columns: Optional[EnergyColumns] = None
+        self._columns_thunk = energy_columns_thunk
 
     def to_payload(self) -> Dict[str, object]:
         """JSON-serialisable header for the cross-process replay sidecar.
 
         The exactness decision (:meth:`exact_for`) only needs the scalar
         header, so a sidecar record stays a few hundred bytes even for
-        million-task schedules; the per-task energy triples stay behind.
+        million-task schedules; the per-task energy columns stay behind.
         """
         return {
             "stall_overlap": self.stall_overlap,
@@ -704,7 +713,7 @@ class ScheduleTrace:
         """Rebuild a header-only trace persisted by :meth:`to_payload`.
 
         Every field :meth:`to_payload` writes is required (a missing one
-        raises :class:`KeyError`).  The per-task energy triples are never
+        raises :class:`KeyError`).  The per-task energy columns are never
         serialised, so a rebuilt trace replays makespan/clock deltas but
         refuses any point that would need an energy re-key
         (:meth:`exact_for` returns False and the point re-simulates).
@@ -730,47 +739,45 @@ class ScheduleTrace:
 
     # --------------------------------------------------- energy re-keying
     @property
-    def has_energy_triples(self) -> bool:
-        """Whether per-task energy triples are (or can be) materialised."""
-        return (self._energy_triples is not None
-                or self._triples_thunk is not None)
+    def has_energy_columns(self) -> bool:
+        """Whether per-task energy columns are (or can be) materialised."""
+        return (self._energy_columns is not None
+                or self._columns_thunk is not None)
 
-    def energy_triples(self) -> Optional[List[Tuple[float, float, float]]]:
-        """Per-task ``(flops, onchip_bytes, offchip_bytes)`` triples.
+    def energy_columns(self) -> Optional[EnergyColumns]:
+        """Per-task ``(flops, onchip_bytes, offchip_bytes)`` float64 columns.
 
         Materialised lazily on first use (the thunk installed by
-        :meth:`LAPRuntime.schedule_trace` reads the recording run's
-        execution rows); ``None`` on header-only traces rebuilt from the
-        sidecar, where an energy re-key forces a re-simulation instead.
+        :func:`execute_fast` reads the recording run's row tuples);
+        ``None`` on header-only traces rebuilt from the sidecar, where an
+        energy re-key forces a re-simulation instead.
         """
-        if self._energy_triples is None and self._triples_thunk is not None:
-            self._energy_triples = self._triples_thunk()
-            self._triples_thunk = None
-        return self._energy_triples
+        if self._energy_columns is None and self._columns_thunk is not None:
+            self._energy_columns = self._columns_thunk()
+            self._columns_thunk = None
+        return self._energy_columns
 
     def rekey_energy_j(self, energy_per_flop_j: float,
                        onchip_energy_per_byte_j: float,
                        offchip_energy_per_byte_j: float) -> float:
         """Total schedule energy under new constants.
 
-        Re-accumulates the per-task energies left to right with the same
-        association the simulation used (``(fl * epf + on * epon) + off *
-        epoff`` per task, then the end-of-schedule flush writeback), so
-        calling it with the recorded :attr:`energy_constants` reproduces
-        the recorded ``energy_j`` bit for bit.
+        Evaluates ``(fl * epf + on * epon) + off * epoff`` per task (the
+        association the simulation used), sums the terms left to right with
+        ``np.add.accumulate`` (sequential, unlike the pairwise ``np.sum``)
+        and adds the end-of-schedule flush writeback, so calling it with
+        the recorded :attr:`energy_constants` reproduces the recorded
+        ``energy_j`` bit for bit.
         """
-        triples = self.energy_triples()
-        if triples is None:
+        columns = self.energy_columns()
+        if columns is None:
             raise ValueError(
-                "per-task energy triples unavailable (header-only trace)")
-        epf = energy_per_flop_j
-        epon = onchip_energy_per_byte_j
-        epoff = offchip_energy_per_byte_j
-        total = 0.0
-        for fl, on, off in triples:
-            total += (fl * epf + on * epon) + off * epoff
-        total += self.flush_writeback_bytes * epoff
-        return total
+                "per-task energy columns unavailable (header-only trace)")
+        flops, onchip, offchip = columns
+        terms = ((flops * energy_per_flop_j + onchip * onchip_energy_per_byte_j)
+                 + offchip * offchip_energy_per_byte_j)
+        total = float(np.add.accumulate(terms)[-1]) if len(terms) else 0.0
+        return total + self.flush_writeback_bytes * offchip_energy_per_byte_j
 
     def exact_for(self, bandwidth_gbs: Optional[float],
                   stall_overlap: float,
@@ -788,7 +795,7 @@ class ScheduleTrace:
         ``offchip_energy_per_byte_j`` the new point's off-chip energy
         constant (``None`` = don't check).  A frequency delta with memory
         accounting on, or an off-chip-energy delta, additionally requires
-        the per-task energy triples so the energy column can be re-keyed.
+        the per-task energy columns so the energy column can be re-keyed.
         """
         if (bandwidth_gbs is not None
                 and self.effective_bandwidth_gbs is not None
@@ -820,7 +827,7 @@ class ScheduleTrace:
                 return False
             if offchip_energy_per_byte_j != self.energy_constants[2]:
                 needs_rekey = True
-        if needs_rekey and not self.has_energy_triples:
+        if needs_rekey and not self.has_energy_columns:
             return False
         return True
 
@@ -1143,6 +1150,13 @@ def execute_fast(runtime, graph: TaskGraph, tiles: Dict,
                                   float(wbb))
                     for i, c, start, end, rb, energy, sb, wbb in rows]
 
+        def columns_build(rows=rows, flops=task_flops, rw_len=rw_len, tb=tb):
+            # No local stores: the on-chip bytes are the operand count alone.
+            idx = _row_column(rows, 0, np.int64)
+            return (np.array(flops)[idx],
+                    (np.array(rw_len)[idx] * tb).astype(np.float64),
+                    _row_column(rows, 4) + _row_column(rows, 7))
+
     affinity_cores = pcode == 4 and stores is not None
     owner_cores = pcode in (2, 3)
     need_owner = pcode >= 2    # greedy/critical-path never read the owner map
@@ -1386,8 +1400,23 @@ def execute_fast(runtime, graph: TaskGraph, tiles: Dict,
     if not specialized:
         def exec_build(rows=rows):
             return [TaskExecution(*row) for row in rows]
+
+        columns_build = None
+        if has_mem:
+            def columns_build(rows=rows, flops=task_flops, rw_len=rw_len,
+                              tb=tb, id2idx=ga.id2idx):
+                # Rows carry task ids here; transfer bytes are the
+                # shared-to-local plus core-to-core fields.
+                idx = np.fromiter(map(id2idx.__getitem__,
+                                      map(itemgetter(0), rows)),
+                                  np.int64, len(rows))
+                transfer = _row_column(rows, 12) + _row_column(rows, 13)
+                return (np.array(flops)[idx],
+                        np.array(rw_len)[idx] * tb + transfer,
+                        _row_column(rows, 6) + _row_column(rows, 14))
     runtime._executions = None
     runtime._exec_build = exec_build
+    runtime._energy_columns_build = columns_build
     makespan = max(core_free) if core_free else 0
     runtime.last_makespan = float(makespan)
     stats: Dict[str, object] = {

@@ -55,7 +55,7 @@ from repro.kernels.qr import lac_apply_reflectors
 from repro.kernels.syrk import lac_syrk
 from repro.kernels.trsm import lac_trsm
 from repro.lap.chip import LinearAlgebraProcessor
-from repro.lap.fastpath import ScheduleTrace, execute_fast
+from repro.lap.fastpath import EnergyColumns, ScheduleTrace, execute_fast
 from repro.lap.memory import MemoryHierarchy
 from repro.lap.policies import SchedulerPolicy, get_policy
 from repro.lap.taskgraph import (_TASK_FLOPS, AlgorithmsByBlocks,
@@ -259,9 +259,9 @@ class LAPRuntime:
         self._homogeneous = all(f == reference for f in frequencies)
         self._executions: Optional[List[TaskExecution]] = []
         self._exec_build: Optional[Callable[[], List[TaskExecution]]] = None
-        #: Graph of the most recent ``execute()`` call (schedule_trace
-        #: derives per-task energy triples from its footprint arrays).
-        self._last_graph: Optional[TaskGraph] = None
+        #: Builds the most recent run's per-task energy columns from the
+        #: scheduler loop's row tuples (``None`` without memory accounting).
+        self._energy_columns_build: Optional[Callable[[], EnergyColumns]] = None
 
     @property
     def executions(self) -> List[TaskExecution]:
@@ -503,7 +503,6 @@ class LAPRuntime:
         schedule's spans and counters after the loop.
         """
         graph = tasks if isinstance(tasks, TaskGraph) else TaskGraph(list(tasks))
-        self._last_graph = graph
         stats = execute_fast(self, graph, tiles, verify)
         if self.tracer is not None and self.tracer.enabled:
             self._emit_trace(self.tracer, stats["makespan_cycles"])
@@ -584,39 +583,21 @@ class LAPRuntime:
         this schedule exactly instead of re-simulating (see
         :class:`repro.lap.fastpath.ScheduleTrace` and the ``lap_runtime``
         runner's replay fast path).  With memory accounting on, the trace
-        also carries a lazy thunk producing per-task ``(flops,
-        onchip_bytes, offchip_bytes)`` energy triples, so energy-constant
-        deltas re-key the energy column per task instead of re-simulating.
-        The thunk captures this run's row source and the graph's footprint
-        arrays; no :class:`TaskExecution` row is built unless a re-key
-        calls it.
+        also carries a lazy thunk producing the per-task ``flops`` /
+        ``onchip_bytes`` / ``offchip_bytes`` energy columns straight from
+        the scheduler loop's row tuples, so energy-constant deltas re-key
+        the energy column instead of re-simulating; no
+        :class:`TaskExecution` row is ever built for it.
         """
         memory = self.last_memory
         energy_constants = None
         flush_wb = 0.0
-        triples_thunk = None
         if memory is not None:
             energy = memory.energy
             energy_constants = (energy.energy_per_flop_j,
                                 energy.onchip_energy_per_byte_j,
                                 energy.offchip_energy_per_byte_j)
             flush_wb = memory.flush_writeback_bytes
-            if self._last_graph is not None and len(self._last_graph):
-                rows = self._executions
-                build = self._exec_build if rows is None else None
-                arrays = self._last_graph.fast_arrays()
-                tile = self.tile
-                tile_bytes = memory.residency.tile_bytes
-
-                def triples_thunk(rows=rows, build=build, arrays=arrays,
-                                  tile=tile, tile_bytes=tile_bytes):
-                    id2idx = arrays.id2idx
-                    rw_len = arrays.rw_len
-                    return [(_TASK_FLOPS[e.kind](tile),
-                             rw_len[id2idx[e.task_id]] * tile_bytes
-                             + e.transfer_bytes,
-                             e.refill_bytes + e.writeback_bytes)
-                            for e in (rows if build is None else build())]
         return ScheduleTrace(
             stall_overlap=self.stall_overlap,
             effective_bandwidth_gbs=(
@@ -635,7 +616,7 @@ class LAPRuntime:
             default_offchip_energy_per_byte_j=(
                 self.lap.offchip.energy_per_byte_j),
             flush_writeback_bytes=flush_wb,
-            energy_triples_thunk=triples_thunk)
+            energy_columns_thunk=self._energy_columns_build)
 
     # ------------------------------------------------------- whole problems
     def run_blocked_gemm(self, n: int, rng: np.random.Generator,

@@ -21,6 +21,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
+import numpy as np
+
 from repro.lap.memory import MemoryHierarchy
 from repro.lap.taskgraph import TaskDescriptor, TileAccess, task_flops
 
@@ -350,7 +352,42 @@ class ReferenceMemoryHierarchy(MemoryHierarchy):
 
     def energy_triples(self) -> List[Tuple[float, float, float]]:
         """Per-task ``(flops, onchip_bytes, offchip_bytes)`` of the events,
-        what :meth:`repro.lap.fastpath.ScheduleTrace.energy_triples` must
-        reproduce from the production rows."""
+        what :meth:`repro.lap.fastpath.ScheduleTrace.energy_columns` must
+        reproduce (column by column) from the production rows."""
         return [(e.flops, e.onchip_bytes, e.refill_bytes + e.writeback_bytes)
                 for e in self.events]
+
+    def energy_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`energy_triples` as three float64 columns."""
+        return columns_of(self.energy_triples())
+
+
+def columns_of(triples: Iterable[Tuple[float, float, float]]
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-task ``(flops, onchip_bytes, offchip_bytes)`` triples as the
+    three float64 columns a :class:`repro.lap.fastpath.ScheduleTrace` holds."""
+    triples = list(triples)
+    return tuple(np.array([t[k] for t in triples], dtype=np.float64)
+                 for k in range(3))
+
+
+def reference_rekey_energy_j(triples: Iterable[Tuple[float, float, float]],
+                             flush_writeback_bytes: float,
+                             energy_per_flop_j: float,
+                             onchip_energy_per_byte_j: float,
+                             offchip_energy_per_byte_j: float) -> float:
+    """Schedule energy re-keyed one task at a time, left to right.
+
+    The scalar loop :meth:`repro.lap.fastpath.ScheduleTrace.rekey_energy_j`
+    must equal bit for bit: ``(fl * epf + on * epon) + off * epoff`` per
+    task, accumulated from ``0.0`` in dispatch order, then the
+    end-of-schedule flush writeback.
+    """
+    epf = energy_per_flop_j
+    epon = onchip_energy_per_byte_j
+    epoff = offchip_energy_per_byte_j
+    total = 0.0
+    for fl, on, off in triples:
+        total += (fl * epf + on * epon) + off * epoff
+    total += flush_writeback_bytes * epoff
+    return total

@@ -41,7 +41,6 @@ def reference_execute(runtime: LAPRuntime, tasks: Sequence[TaskDescriptor],
     state.  Unknown dependency ids leave their task unscheduled and the
     deadlock check reports it.
     """
-    runtime._last_graph = tasks if isinstance(tasks, TaskGraph) else None
     task_list = list(tasks)
     by_id: Dict[int, TaskDescriptor] = {}
     for task in task_list:
@@ -85,6 +84,8 @@ def reference_execute(runtime: LAPRuntime, tasks: Sequence[TaskDescriptor],
     executions: List[TaskExecution] = []
     runtime._executions = executions
     runtime._exec_build = None
+    runtime._energy_columns_build = (None if memory is None
+                                     else memory.energy_columns)
 
     # Heap entries are (priority_tuple, task_id, residency_version): the
     # policy key orders tasks, the task id breaks ties, and the trailing

@@ -5,7 +5,7 @@
 task, ``OrderedDict`` residency levels, per-task tracer calls).  The two
 must produce *exactly* the same rows -- same stats dict, same
 :class:`TaskExecution` records field by field (values and Python types),
-same cycle attribution, same schedule trace and energy triples, same
+same cycle attribution, same schedule trace and energy columns, same
 tracer spans and counters -- or downstream sweeps silently fork.  This
 suite pins that contract:
 
@@ -30,10 +30,11 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle import ReferenceRuntime, reference_loop
+from oracle import (ReferenceRuntime, columns_of, reference_loop,
+                    reference_rekey_energy_j)
 from repro.engine.runners import _REPLAY_MEMO, configure_worker, get_runner
 from repro.lap.chip import LAPConfig, LinearAlgebraProcessor
 from repro.lap.runtime import LAPRuntime
@@ -112,19 +113,25 @@ def assert_runs_identical(ref_rt, fast_rt, graph, verify=False):
     # Every header field (what the replay decision reads), by value and type.
     ref_header = json.dumps(ref_trace.to_payload())
     assert ref_header == json.dumps(fast_trace.to_payload())
-    assert ref_trace.energy_triples() == fast_trace.energy_triples()
+    assert ref_trace.has_energy_columns == fast_trace.has_energy_columns
     if ref_trace.energy_constants is not None:
-        # Both paths' per-task energy triples must re-key the energy column
+        # The columns the production trace derives from its row tuples
+        # equal the oracle's per-task memory events, column by column.
+        triples = ref_rt.last_memory.energy_triples()
+        for column, want in zip(fast_trace.energy_columns(),
+                                columns_of(triples)):
+            assert column.dtype == np.float64
+            assert np.array_equal(column, want)
+        # Both paths' per-task energy columns must re-key the energy column
         # bit for bit at the recorded constants -- the identity every replay
-        # delta builds on.
+        # delta builds on -- and so must the oracle's scalar loop.
         expected = ref_stats["energy_j"]
         assert ref_trace.rekey_energy_j(*ref_trace.energy_constants) == expected
         assert (fast_trace.rekey_energy_j(*fast_trace.energy_constants)
                 == expected)
-        # The triples the production trace derives from its rows equal the
-        # oracle's per-task memory events.
-        assert (fast_trace.energy_triples()
-                == ref_rt.last_memory.energy_triples())
+        assert reference_rekey_energy_j(
+            triples, fast_trace.flush_writeback_bytes,
+            *fast_trace.energy_constants) == expected
     return ref_stats
 
 
@@ -429,13 +436,19 @@ def test_replay_delta_rows_equal_resimulation():
 def test_frequency_and_energy_replay_equal_resimulation():
     """Chip-clock and off-chip-energy delta points replayed from a recorded
     schedule are byte-identical (keys, order, values, types) to
-    re-simulating them, across non-greedy policies and both hierarchies --
-    including the re-keyed makespan_ns / energy_j / gflops_per_w columns."""
+    re-simulating them, for all four algorithms under the specialised
+    greedy loop and two dynamic policies over both hierarchies -- including
+    the re-keyed makespan_ns / energy_j / gflops_per_w columns."""
     from repro.lap.fastpath import REPLAY_STATS
 
     runner = get_runner("lap_runtime")
-    for policy, local_store_kb in (("memory_aware", None), ("affinity", 1.0)):
-        base = {"algorithm": "cholesky", "n": 48, "tile": 8, "num_cores": 2,
+    for algorithm, policy, local_store_kb in (
+            (algorithm, policy, local_store_kb)
+            for algorithm in sorted(SIZES)
+            for policy, local_store_kb in (("greedy", None),
+                                           ("memory_aware", None),
+                                           ("affinity", 1.0))):
+        base = {"algorithm": algorithm, "n": 48, "tile": 8, "num_cores": 2,
                 "nr": 4, "seed": 21, "timing": "memoized", "verify": False,
                 "policy": policy}
         if local_store_kb is not None:
@@ -447,13 +460,61 @@ def test_frequency_and_energy_replay_equal_resimulation():
                        "bandwidth_gbs": 64.0}):
             before = dict(REPLAY_STATS)
             replayed = runner({**base, **delta})
-            assert REPLAY_STATS["replayed"] == before["replayed"] + 1, delta
+            assert REPLAY_STATS["replayed"] == before["replayed"] + 1, (
+                algorithm, policy, delta)
             resim = simulate(runner, {**base, **delta})
             simulate(runner, base)  # re-record the base for the next delta
-            assert list(replayed) == list(resim), delta
+            assert list(replayed) == list(resim), (algorithm, policy, delta)
             for key in resim:
-                assert type(replayed[key]) is type(resim[key]), (delta, key)
-                assert replayed[key] == resim[key], (delta, key)
+                assert type(replayed[key]) is type(resim[key]), (
+                    algorithm, policy, delta, key)
+                assert replayed[key] == resim[key], (
+                    algorithm, policy, delta, key)
+
+
+def test_replayed_clock_delta_builds_no_cores(monkeypatch):
+    """A replayed frequency (and off-chip-energy) delta point derives its
+    energy constants from the configuration alone: with
+    ``LinearAlgebraCore.__init__`` made to raise, the replay still returns
+    the re-simulated row, and only the re-simulation trips the guard."""
+    from repro.lac.core import LinearAlgebraCore
+    from repro.lap.fastpath import REPLAY_STATS
+
+    runner = get_runner("lap_runtime")
+    base = {"algorithm": "cholesky", "n": 48, "tile": 8, "num_cores": 2,
+            "nr": 4, "seed": 23, "timing": "memoized", "verify": False}
+    delta = {**base, "frequency_ghz": 1.5, "offchip_pj_per_byte": 25.0}
+    expected = simulate(runner, delta)
+    simulate(runner, base)  # records the trace the delta replays
+
+    def no_cores(self, *args, **kwargs):
+        raise AssertionError("a replayed point built a LinearAlgebraCore")
+
+    monkeypatch.setattr(LinearAlgebraCore, "__init__", no_cores)
+    before = dict(REPLAY_STATS)
+    assert runner(dict(delta)) == expected
+    assert REPLAY_STATS["replayed"] == before["replayed"] + 1
+    with pytest.raises(AssertionError, match="built a LinearAlgebraCore"):
+        simulate(runner, delta)
+
+
+def test_energy_constants_from_config_match_a_built_processor():
+    """``LAPConfig``'s component factories give the same energy constants
+    as a ``TaskEnergyModel`` over a fully built ``LinearAlgebraProcessor``,
+    which is what the replay path relies on to skip building cores."""
+    from repro.lap.memory import TaskEnergyModel
+
+    for num_cores, nr, onchip_mbytes, frequency_ghz in (
+            (1, 2, 0.5, 0.6), (2, 4, 1.0, 1.0), (4, 2, 32.0, 1.4),
+            (8, 4, 32.0, 2.0)):
+        config = LAPConfig(num_cores=num_cores, nr=nr,
+                           onchip_memory_mbytes=onchip_mbytes,
+                           frequency_ghz=frequency_ghz)
+        lap = LinearAlgebraProcessor(config)
+        built = TaskEnergyModel(config.fmac(), lap.onchip_memory, lap.offchip)
+        derived = TaskEnergyModel(config.fmac(), config.onchip_memory(),
+                                  config.offchip())
+        assert vars(derived) == vars(built)
 
 
 def test_frequency_replay_rejections_force_resimulation():
@@ -483,21 +544,22 @@ def test_frequency_replay_rejections_force_resimulation():
 
 def test_exact_for_energy_and_frequency_gates(tmp_path):
     """`exact_for` widens only with full provenance: an energy-constant
-    delta needs the recorded constants plus per-task triples, a frequency
-    delta a known homogeneous recorded clock; header-only round trips
-    (which drop the triples) reject every re-keying delta."""
+    delta needs the recorded constants plus per-task energy columns, a
+    frequency delta a known homogeneous recorded clock; header-only round
+    trips (which drop the columns) reject every re-keying delta."""
     from repro.lap.fastpath import ScheduleTrace
 
     kw = dict(stall_overlap=0.0, effective_bandwidth_gbs=16.0,
               default_bandwidth_gbs=16.0, total_spill_bytes=0.0,
               total_movement_cycles=0.0)
-    triples = [(10.0, 100.0, 50.0)]
+    columns = (np.array([10.0]), np.array([100.0]), np.array([50.0]))
     full = ScheduleTrace(**kw, makespan_cycles=100.0, frequency_ghz=1.0,
                          homogeneous_cores=True,
                          energy_constants=(1e-12, 2e-12, 60e-12),
-                         flush_writeback_bytes=64.0, energy_triples=triples)
+                         flush_writeback_bytes=64.0,
+                         energy_columns_thunk=lambda: columns)
     # Unchanged constants replay without re-keying; a changed off-chip
-    # constant or clock is exact only because the triples allow re-keying.
+    # constant or clock is exact only because the columns allow re-keying.
     assert full.exact_for(16.0, 0.0, frequency_ghz=1.0,
                           offchip_energy_per_byte_j=60e-12)
     assert full.exact_for(16.0, 0.0, offchip_energy_per_byte_j=30e-12)
@@ -509,12 +571,12 @@ def test_exact_for_energy_and_frequency_gates(tmp_path):
                               homogeneous_cores=False)
     het = ScheduleTrace(**kw, frequency_ghz=1.0, homogeneous_cores=False,
                         energy_constants=(1e-12, 2e-12, 60e-12),
-                        energy_triples=triples)
+                        energy_columns_thunk=lambda: columns)
     assert not het.exact_for(16.0, 0.0, frequency_ghz=2.0)
-    # The sidecar header drops the triples: the same deltas now reject,
+    # The sidecar header drops the columns: the same deltas now reject,
     # re-keying raises, and the unchanged point still replays.
     header = ScheduleTrace.from_payload(full.to_payload())
-    assert not header.has_energy_triples
+    assert not header.has_energy_columns
     assert header.exact_for(16.0, 0.0, frequency_ghz=1.0,
                             offchip_energy_per_byte_j=60e-12)
     assert not header.exact_for(16.0, 0.0, offchip_energy_per_byte_j=30e-12)
@@ -553,11 +615,67 @@ def test_exact_for_energy_and_frequency_gates(tmp_path):
         _REPLAY_MEMO.clear()
 
 
+#: Non-negative doubles from subnormal to near the overflow threshold.
+MAGNITUDES = st.one_of(
+    st.floats(min_value=0.0, max_value=1e300, allow_nan=False),
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e300]))
+
+
+def _rekey_trace(columns, flush_writeback_bytes):
+    from repro.lap.fastpath import ScheduleTrace
+
+    return ScheduleTrace(stall_overlap=0.0, effective_bandwidth_gbs=16.0,
+                         default_bandwidth_gbs=16.0, total_spill_bytes=0.0,
+                         total_movement_cycles=0.0,
+                         flush_writeback_bytes=flush_writeback_bytes,
+                         energy_columns_thunk=lambda: columns)
+
+
+@example(triples=[], flush=0.0, constants=(1e-12, 2e-12, 60e-12))
+@example(triples=[], flush=4096.0, constants=(1e-12, 2e-12, 60e-12))
+@example(triples=[(1e300, 1e300, 1e300)] * 3, flush=1e300,
+         constants=(1e300, 1e300, 1e300))
+@example(triples=[(5e-324, 5e-324, 5e-324), (1e300, 0.0, 1.0)], flush=5e-324,
+         constants=(5e-324, 1e-300, 1e300))
+@settings(max_examples=300, deadline=None)
+@given(triples=st.lists(st.tuples(MAGNITUDES, MAGNITUDES, MAGNITUDES),
+                        max_size=48),
+       flush=MAGNITUDES,
+       constants=st.tuples(MAGNITUDES, MAGNITUDES, MAGNITUDES))
+def test_vectorised_rekey_matches_scalar_oracle(triples, flush, constants):
+    """`rekey_energy_j` over float64 columns equals the oracle's scalar
+    left-to-right loop bit for bit: empty schedules, flush-only traces,
+    subnormal and near-overflow magnitudes (products that reach inf, which
+    NumPy reports and Python floats do not) alike."""
+    with np.errstate(over="ignore"):
+        got = _rekey_trace(columns_of(triples), flush).rekey_energy_j(*constants)
+    want = reference_rekey_energy_j(triples, flush, *constants)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_rekey_runs_no_per_task_python_loop():
+    """The re-key is NumPy passes over the columns: columns that refuse
+    Python iteration still re-key, to the oracle's value."""
+    class NoIteration(np.ndarray):
+        def __iter__(self):
+            raise AssertionError("per-task Python loop over an energy column")
+
+    rng = np.random.default_rng(5)
+    triples = [tuple(row) for row in rng.random((257, 3)) * 1e6]
+    columns = tuple(c.view(NoIteration) for c in columns_of(triples))
+    constants = (1e-12, 2e-12, 60e-12)
+    got = _rekey_trace(columns, 512.0).rekey_energy_j(*constants)
+    assert got == reference_rekey_energy_j(triples, 512.0, *constants)
+    with pytest.raises(AssertionError, match="per-task Python loop"):
+        list(columns[0])
+
+
 def test_schedule_trace_leaves_execution_rows_unbuilt():
     """`schedule_trace()` records without materialising `TaskExecution`
-    rows; its energy triples still re-key `energy_j` bit for bit at the
-    recorded constants (building the rows only then, from the run's own
-    row source)."""
+    rows; its energy columns still re-key `energy_j` bit for bit at the
+    recorded constants, built from the loop's row tuples without ever
+    materialising the rows."""
     graph = AlgorithmsByBlocks(TILE).cholesky_tasks(40)
     for kwargs in ({}, {"policy": "memory_aware", "local_store_kb": 1.0}):
         rt = make_runtime(True, **kwargs)
@@ -565,9 +683,9 @@ def test_schedule_trace_leaves_execution_rows_unbuilt():
         assert rt._executions is None
         trace = rt.schedule_trace()
         assert rt._executions is None
-        assert trace.has_energy_triples
+        assert trace.has_energy_columns
         assert trace.rekey_energy_j(*trace.energy_constants) == stats["energy_j"]
-        assert rt._executions is None  # the thunk built its own rows
+        assert rt._executions is None  # the thunk read the row tuples
 
 
 def test_oracle_rows_are_never_replayed_outside_the_oracle():

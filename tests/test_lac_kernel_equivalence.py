@@ -11,9 +11,11 @@ combination) and through each kernel that uses it, including non-square
 QR panels and reflectors with a non-finite tau (the skip branch).
 """
 
+import contextlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -22,9 +24,12 @@ from oracle import (reference_lac, reference_rank1_update_step,
 from repro.kernels.blocked_factorizations import lac_lu_blocked, lac_qr_blocked
 from repro.kernels.cholesky import lac_cholesky
 from repro.kernels.gemm import lac_gemm
-from repro.kernels.qr import lac_apply_reflectors, lac_householder_qr_panel
+from repro.kernels.qr import (lac_apply_reflectors, lac_householder_qr_panel,
+                              lac_householder_vector)
 from repro.kernels.trsm import lac_trsm
 from repro.lac.core import LACConfig, LinearAlgebraCore
+from repro.reference.factorizations import (ref_householder_qr_factored,
+                                            ref_householder_vector)
 
 NRS = st.sampled_from([2, 4])
 #: Finite doubles over a wide range, signed zeros and subnormals included.
@@ -164,19 +169,77 @@ def qr_operand(draw, rows, cols):
     return a
 
 
+@st.composite
+def qr_blocked_case(draw):
+    nr, (n, _, _) = draw(blocks())
+    return nr, draw(qr_operand(n + draw(st.integers(0, 6)), n))
+
+
+@st.composite
+def qr_panel_case(draw):
+    nr = draw(NRS)
+    return nr, draw(qr_operand(nr + draw(st.integers(0, 12)), nr))
+
+
+#: A drawn operand whose whole column norm underflows to zero (squaring
+#: 2.2e-309 gives 0): without the zero-norm guard in
+#: ``lac_householder_vector`` the kernels take 1 / nu1 of a subnormal nu1
+#: (overflow) and produce a NaN tau.
+SUBNORMAL_PANEL = np.full((2, 2), 2.2250738585072014e-309)
+
+
+@example(case=(2, SUBNORMAL_PANEL))
 @settings(max_examples=20, deadline=None)
-@given(blocks(), st.integers(0, 6), st.data())
-def test_qr_blocked_matches_oracle(shape, extra_rows, data):
-    nr, (n, _, _) = shape
-    a = data.draw(qr_operand(n + extra_rows, n))
+@given(case=qr_blocked_case())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_qr_blocked_matches_oracle(case):
+    nr, a = case
     assert_matches_oracle(nr, lambda core: lac_qr_blocked(core, a))
 
 
+@example(case=(2, SUBNORMAL_PANEL))
 @settings(max_examples=25, deadline=None)
-@given(NRS, st.integers(0, 12), st.data())
-def test_householder_qr_panel_matches_oracle(nr, extra_rows, data):
-    panel = data.draw(qr_operand(nr + extra_rows, nr))
+@given(case=qr_panel_case())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_householder_qr_panel_matches_oracle(case):
+    nr, panel = case
     assert_matches_oracle(nr, lambda core: lac_householder_qr_panel(core, panel))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kernel", [lac_householder_qr_panel, lac_qr_blocked])
+def test_qr_of_an_underflowing_operand_is_finite(kernel):
+    """A column whose whole norm underflows to zero gets the identity
+    reflector (tau = inf, the skip branch) in production and oracle alike:
+    the output is the operand unchanged and finite, and no NaN appears.  A
+    tail that underflows under an ordinary leading entry still reflects,
+    exactly as the reference does."""
+    results = []
+    for reference in (False, True):
+        core = LinearAlgebraCore(LACConfig(nr=2))
+        with reference_lac() if reference else contextlib.nullcontext():
+            results.append(kernel(core, SUBNORMAL_PANEL))
+    for result in results:
+        assert bits(result.output) == bits(SUBNORMAL_PANEL)
+        assert result.extra["tau"] == [float("inf")] * 2
+    rho, u2, tau = lac_householder_vector(LinearAlgebraCore(LACConfig(nr=2)),
+                                          np.array([0.0, 1e-200, -1e-170]))
+    assert (rho, tau) == (0.0, float("inf"))
+    assert bits(u2) == bits(np.zeros(2))
+
+    x = np.array([1.0, 1e-200])
+    rho, u2, tau = lac_householder_vector(LinearAlgebraCore(LACConfig(nr=2)), x)
+    ref_rho, ref_u2, ref_tau = ref_householder_vector(x)
+    assert (rho, tau) == (ref_rho, ref_tau) == (-1.0, 0.5)
+    assert bits(u2) == bits(ref_u2)
+    nearly_triangular = np.array([[1.0, 2.0], [1e-200, 3.0]])
+    ref_factored, ref_taus = ref_householder_qr_factored(nearly_triangular)
+    for reference in (False, True):
+        core = LinearAlgebraCore(LACConfig(nr=2))
+        with reference_lac() if reference else contextlib.nullcontext():
+            result = kernel(core, nearly_triangular)
+        assert bits(result.output) == bits(ref_factored)
+        assert result.extra["tau"] == ref_taus
 
 
 @settings(max_examples=25, deadline=None)

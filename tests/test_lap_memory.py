@@ -170,7 +170,7 @@ class TestBandwidthAndEnergy:
 
 
 # ------------------------------------------------ closed-form off-chip traffic
-class TestOffChipShim:
+class TestOffChipTraffic:
     def test_residency_limit_equals_closed_form(self):
         """Unconstrained residency over a GEMM graph reproduces the analytic
         streamed traffic exactly (every operand crosses the boundary once)."""
